@@ -307,8 +307,8 @@ func BenchmarkSimWorkflowLarge(b *testing.B) {
 // retained-records Collector alone would hold ~7M records, so the run
 // streams metrics into an Aggregates sink (memory stays O(aggregate
 // state), not O(tasks)) and recycles substrate storage through an arena
-// across iterations; the engine's auto queue selection migrates to the
-// ladder queue once the event population crosses the threshold.
+// across iterations. Pending events peak at 4,096 on this run, so the
+// engine's 4-ary heap stays seven levels deep even at this scale.
 func BenchmarkSimWorkflowHuge(b *testing.B) {
 	b.ReportAllocs()
 	var arena wfsim.Arena

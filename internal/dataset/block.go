@@ -64,19 +64,6 @@ func (p Partition) Blocks() []BlockID {
 	return ids
 }
 
-// LazyBlocks creates metadata-only blocks for the whole grid.
-func (p Partition) LazyBlocks() ([]*Block, error) {
-	out := make([]*Block, 0, p.NumBlocks())
-	for _, id := range p.Blocks() {
-		r, c, err := p.BlockShape(id.Row, id.Col)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, NewLazyBlock(id, r, c))
-	}
-	return out, nil
-}
-
 // Materialize creates and fills all blocks of the partition using gen.
 // Intended for example/test scale; it refuses datasets over the given
 // budget to avoid accidentally allocating a paper-scale matrix.

@@ -201,10 +201,10 @@ func RunCell(cfg CellConfig) (Cell, error) {
 
 // runCell is RunCell with caller-provided scratch. Records stream into
 // scratch.agg as the simulation produces them — the run never materializes
-// a per-task record table — and every aggregate query below reproduces the
-// Collector arithmetic bit-for-bit (see metrics.Aggregates), so cells are
-// byte-identical to the retained-records implementation; the golden figure
-// fixtures pin this.
+// a per-task record table. The queries below run the same fold as
+// Collector.Aggregate over a retained log (see metrics.Aggregates), so
+// streaming changes no reported float; the golden figure fixtures pin
+// this.
 func runCell(cfg CellConfig, scratch *cellScratch) (Cell, error) {
 	wf, err := buildWorkflow(cfg)
 	if err != nil {

@@ -138,14 +138,14 @@ func linregSimSpeedup() (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		res, err := runtime.RunSim(wf, runtime.SimConfig{Device: dev})
-		if err != nil {
+		agg := metrics.NewAggregates()
+		if _, err := runtime.RunSim(wf, runtime.SimConfig{Device: dev, Sink: agg}); err != nil {
 			return 0, err
 		}
-		par, _ := res.Collector.MeanStage("gradient", metrics.StageParallel)
-		ser, _ := res.Collector.MeanStage("gradient", metrics.StageSerial)
-		in, _ := res.Collector.MeanStage("gradient", metrics.StageCommIn)
-		out, _ := res.Collector.MeanStage("gradient", metrics.StageCommOut)
+		par, _ := agg.MeanStage("gradient", metrics.StageParallel)
+		ser, _ := agg.MeanStage("gradient", metrics.StageSerial)
+		in, _ := agg.MeanStage("gradient", metrics.StageCommIn)
+		out, _ := agg.MeanStage("gradient", metrics.StageCommOut)
 		return par + ser + in + out, nil
 	}
 	cpu, err := span(costmodel.CPU)

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	goruntime "runtime"
 	"strings"
+	"sync"
 
 	"wfsim/internal/apps/kmeans"
 	"wfsim/internal/apps/matmul"
@@ -147,9 +149,16 @@ func runFig9b(ctx context.Context, eng *runner.Engine) (Result, error) {
 	}
 	// Each spec is one trial (a full interleaved uniform-vs-skew
 	// comparison of real kernel runs). Never memoized: these measure
-	// wall-clock, not the deterministic simulator.
+	// wall-clock, not the deterministic simulator. The trials hold a
+	// shared lock so they never run concurrently on a parallel engine:
+	// two trials competing for the same cores inflate whichever variant
+	// happens to overlap the other trial, and that bias is large enough
+	// to swamp the effect being measured.
+	var exclusive sync.Mutex
 	points, err := runner.Map(ctx, eng, "fig9b", specs, nil,
 		func(_ context.Context, s fig9bSpec) (Fig9bPoint, error) {
+			exclusive.Lock()
+			defer exclusive.Unlock()
 			if s.alg == Matmul {
 				return skewPointMatmul(s.grid)
 			}
@@ -168,6 +177,9 @@ func measureOnce(build func() (*runtime.Workflow, error), headline string) (floa
 	if err != nil {
 		return 0, err
 	}
+	// Collect the garbage of earlier builds before the clock starts, so
+	// no variant pays for a collection the previous one triggered.
+	goruntime.GC()
 	res, err := runtime.RunLocal(wf, runtime.LocalConfig{})
 	if err != nil {
 		return 0, err
@@ -187,22 +199,31 @@ func measureOnce(build func() (*runtime.Workflow, error), headline string) (floa
 }
 
 // comparePair measures two workflow variants with interleaved repetitions
-// (A, B, A, B, ...), taking each variant's minimum — interleaving cancels
-// systematic wall-clock drift (GC pressure, page-cache warmth) that would
-// bias a sequential A-then-B comparison.
+// in ABBA order (A, B, B, A, A, B, ...), taking each variant's minimum —
+// interleaving cancels systematic wall-clock drift (GC pressure,
+// page-cache warmth) that would bias a sequential A-then-B comparison, and
+// alternating which variant goes first keeps a drift that lands between
+// the two halves of a repetition from always favoring the same one.
 func comparePair(buildA, buildB func() (*runtime.Workflow, error), headline string, reps int) (a, b float64, err error) {
 	a, b = math.Inf(1), math.Inf(1)
 	for i := 0; i < reps; i++ {
-		va, err := measureOnce(buildA, headline)
+		first, second := buildA, buildB
+		if i%2 == 1 {
+			first, second = buildB, buildA
+		}
+		v1, err := measureOnce(first, headline)
 		if err != nil {
 			return 0, 0, err
 		}
-		vb, err := measureOnce(buildB, headline)
+		v2, err := measureOnce(second, headline)
 		if err != nil {
 			return 0, 0, err
 		}
-		a = math.Min(a, va)
-		b = math.Min(b, vb)
+		if i%2 == 1 {
+			v1, v2 = v2, v1
+		}
+		a = math.Min(a, v1)
+		b = math.Min(b, v2)
 	}
 	return a, b, nil
 }

@@ -1,10 +1,6 @@
 package metrics
 
-import (
-	"sort"
-
-	"wfsim/internal/stats"
-)
+import "sort"
 
 // sumCount is one streaming (sum of durations, contributing records)
 // accumulator.
@@ -32,20 +28,19 @@ func (s *span) observe(start, end float64) {
 	}
 }
 
-// Aggregates is the streaming Sink: it folds records into the fixed-size
-// sums the experiment figures query — per-(task type, stage) means,
-// per-core data movement, per-level spans, makespan — without retaining
-// any record. Memory is O(task types × stages + cores + levels),
+// Aggregates is the one metrics fold: it reduces records into the
+// fixed-size sums the experiment figures query — per-(task type, stage)
+// means, per-core data movement, per-level spans, makespan — without
+// retaining any record. Memory is O(task types × stages + cores + levels),
 // independent of task count, which is what lets a 10⁶-task sweep cell run
 // in a few MB where a Collector would retain ~50 MB of records.
 //
-// Every query reproduces the corresponding Collector method bit-for-bit:
-// durations are accumulated in record-arrival order — the same order the
-// Collector's queries sum its retained records in — and cross-core /
-// cross-level reductions sum in ascending index order exactly as
-// Collector.MovementPerCore and Collector.MeanLevelSpan do. Switching a
-// run from Collector to Aggregates therefore cannot change a reported
-// float by even one ULP; the fig1 golden render pins this.
+// Durations are accumulated in record-arrival order, and cross-core /
+// cross-level reductions sum in ascending index order, so every query is
+// a deterministic function of the record sequence. A streaming run
+// (SimConfig.Sink) and Collector.Aggregate over a retained run of the same
+// records therefore report identical floats; the fig1 golden render pins
+// this.
 //
 // Aggregates is not safe for concurrent use (see Sink). The zero value is
 // ready to use; Reset recycles one across trials without reallocating.
@@ -80,26 +75,10 @@ type Aggregates struct {
 	levels []span // indexed by DAG level
 
 	whole span // makespan window
-
-	// dist[stage] streams per-stage duration quantiles; nil unless
-	// WithQuantiles was called (three P² estimators per stage are not
-	// free on a hot path that otherwise costs a handful of adds).
-	dist *[numStages]*stats.Stream
 }
 
 // NewAggregates returns an empty streaming sink.
 func NewAggregates() *Aggregates { return &Aggregates{} }
-
-// WithQuantiles enables per-stage duration quantile streams (p50/p95/p99
-// via stats.Stream) and returns the receiver.
-func (a *Aggregates) WithQuantiles() *Aggregates {
-	var d [numStages]*stats.Stream
-	for i := range d {
-		d[i] = stats.NewStream()
-	}
-	a.dist = &d
-	return a
-}
 
 // Reset clears every accumulator while keeping capacity, so one Aggregates
 // serves every trial a sweep worker runs.
@@ -120,11 +99,6 @@ func (a *Aggregates) Reset() {
 	}
 	a.levels = a.levels[:0]
 	a.whole = span{}
-	if a.dist != nil {
-		for i := range a.dist {
-			a.dist[i] = stats.NewStream()
-		}
-	}
 }
 
 func (a *Aggregates) intern(s string, isTask bool) int32 {
@@ -186,10 +160,6 @@ func (a *Aggregates) Observe(r Record) {
 	a.levels[r.Level].observe(r.Start, r.End)
 
 	a.whole.observe(r.Start, r.End)
-
-	if a.dist != nil {
-		a.dist[st].Observe(d)
-	}
 }
 
 // growCore extends the per-core accumulators of one stage up to core.
@@ -214,9 +184,10 @@ func (a *Aggregates) growLevels(level int) {
 // Len returns the number of records observed.
 func (a *Aggregates) Len() int { return a.n }
 
-// MeanStage mirrors Collector.MeanStage: the mean duration of a stage over
-// tasks of the given type ("" matches every type) and the contributing
-// record count.
+// MeanStage returns the average duration of a stage over tasks of the
+// given type ("" matches every task type) — the paper's "average time per
+// task" user-code metrics. The second result is the number of records
+// that contributed.
 func (a *Aggregates) MeanStage(taskName string, stage Stage) (float64, int) {
 	sc := a.all[stage]
 	if taskName != "" {
@@ -232,7 +203,7 @@ func (a *Aggregates) MeanStage(taskName string, stage Stage) (float64, int) {
 	return sc.sum / float64(sc.n), sc.n
 }
 
-// SumStage mirrors Collector.SumStage.
+// SumStage returns the total duration of a stage across matching tasks.
 func (a *Aggregates) SumStage(taskName string, stage Stage) float64 {
 	if taskName == "" {
 		return a.all[stage].sum
@@ -244,7 +215,8 @@ func (a *Aggregates) SumStage(taskName string, stage Stage) float64 {
 	return a.perName[int(id)*NumStages+int(stage)].sum
 }
 
-// UserCodeMean mirrors Collector.UserCodeMean.
+// UserCodeMean returns the average full user-code time per task of the
+// given type: serial + parallel + CPU-GPU communication (§4.2).
 func (a *Aggregates) UserCodeMean(taskName string) float64 {
 	var total float64
 	for _, st := range []Stage{StageSerial, StageParallel, StageCommIn, StageCommOut} {
@@ -256,9 +228,10 @@ func (a *Aggregates) UserCodeMean(taskName string) float64 {
 	return total
 }
 
-// MovementPerCore mirrors Collector.MovementPerCore: per-core sums are
-// reduced in ascending core order, the same order the Collector's sorted
-// reduction uses.
+// MovementPerCore returns the mean (de)serialization time per active CPU
+// core — the paper's data-movement overhead metric, which exposes how well
+// (de)serialization parallelism matches the available cores. Per-core sums
+// reduce in ascending core order, so the result's bits are deterministic.
 func (a *Aggregates) MovementPerCore(stage Stage) float64 {
 	var sum float64
 	active := 0
@@ -274,7 +247,10 @@ func (a *Aggregates) MovementPerCore(stage Stage) float64 {
 	return sum / float64(active)
 }
 
-// LevelSpan mirrors Collector.LevelSpan.
+// LevelSpan returns the wall-clock span of one DAG level: from the first
+// stage start to the last stage end among the level's tasks. This is the
+// paper's "parallel task execution time", which includes every overhead
+// (scheduling, I/O, queueing).
 func (a *Aggregates) LevelSpan(level int) (start, end float64, ok bool) {
 	if level < 0 || level >= len(a.levels) || !a.levels[level].seen {
 		return 0, 0, false
@@ -282,7 +258,7 @@ func (a *Aggregates) LevelSpan(level int) (start, end float64, ok bool) {
 	return a.levels[level].start, a.levels[level].end, true
 }
 
-// Levels mirrors Collector.Levels: the sorted levels observed.
+// Levels returns the sorted set of DAG levels present in the records.
 func (a *Aggregates) Levels() []int {
 	out := []int{}
 	for l, sp := range a.levels {
@@ -293,8 +269,9 @@ func (a *Aggregates) Levels() []int {
 	return out
 }
 
-// MeanLevelSpan mirrors Collector.MeanLevelSpan: level spans reduce in
-// ascending level order.
+// MeanLevelSpan averages LevelSpan over every level — the per-iteration
+// parallel-task execution time reported in Figures 7 and 10. Level spans
+// reduce in ascending level order.
 func (a *Aggregates) MeanLevelSpan() float64 {
 	var sum float64
 	n := 0
@@ -310,7 +287,7 @@ func (a *Aggregates) MeanLevelSpan() float64 {
 	return sum / float64(n)
 }
 
-// Makespan mirrors Collector.Makespan.
+// Makespan returns the overall workflow span across all records.
 func (a *Aggregates) Makespan() float64 {
 	if !a.whole.seen {
 		return 0
@@ -318,9 +295,7 @@ func (a *Aggregates) Makespan() float64 {
 	return a.whole.end - a.whole.start
 }
 
-// TaskNames mirrors Collector.TaskNames: distinct task types, sorted.
-// (Names arrive in first-observation order, which is deterministic, but
-// the sorted contract matches the Collector's.)
+// TaskNames returns the distinct task types observed, sorted.
 func (a *Aggregates) TaskNames() []string {
 	out := []string{}
 	for id, isTask := range a.taskName {
@@ -330,13 +305,4 @@ func (a *Aggregates) TaskNames() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// StageDist returns the streaming duration distribution of one stage, or
-// nil unless WithQuantiles was enabled.
-func (a *Aggregates) StageDist(stage Stage) *stats.Stream {
-	if a.dist == nil {
-		return nil
-	}
-	return a.dist[stage]
 }

@@ -11,18 +11,18 @@
 // (Python perf counters, CUDA events and Paraver traces); a Paraver-like
 // trace export is provided for inspection.
 //
-// Two consumption models exist. Collector retains every record —
-// required by trace/Gantt/CSV export and any post-hoc query. Aggregates
-// folds records into fixed-size sums as they arrive — O(1) memory per
-// (task type, stage) pair instead of O(tasks), for million-task runs whose
-// traces would not fit. Both implement Sink, the record-consumer contract
-// the simulated runtime emits into.
+// Aggregates is the one fold: it turns records into the fixed-size sums
+// every query reads — O(1) memory per (task type, stage) pair instead of
+// O(tasks), for million-task runs whose traces would not fit. Collector
+// is a record log for trace, Gantt and CSV export; its Aggregate method
+// replays the log into a fresh Aggregates for post-hoc queries. Both
+// implement Sink, the record-consumer contract the simulated runtime
+// emits into.
 package metrics
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 )
 
@@ -112,9 +112,11 @@ type crec struct {
 	end    float64
 }
 
-// Collector accumulates and retains records. Add is safe for concurrent
-// use (the local backend runs real tasks on multiple goroutines); Observe
-// is the lock-free single-writer path the simulated backend uses.
+// Collector is a record log: it retains every record in arrival order for
+// export, and answers queries only through Aggregate. Add is safe for
+// concurrent use (the local backend runs real tasks on multiple
+// goroutines); Observe is the lock-free single-writer path the simulated
+// backend uses.
 type Collector struct {
 	mu     sync.Mutex
 	recs   []crec
@@ -150,14 +152,6 @@ func (c *Collector) intern(s string) int32 {
 	c.names = append(c.names, s)
 	c.byName[s] = id
 	return id
-}
-
-// lookup returns the ID of s, or -1 if no record has mentioned it.
-func (c *Collector) lookup(s string) int32 {
-	if id, ok := c.byName[s]; ok {
-		return id
-	}
-	return -1
 }
 
 // decode rematerializes the public Record form.
@@ -241,188 +235,17 @@ func (c *Collector) Len() int {
 	return len(c.recs)
 }
 
-// MeanStage returns the average duration of a stage over tasks of the given
-// type ("" matches every task type) — the paper's "average time per task"
-// user-code metrics. The second result is the number of tasks that
-// contributed.
-func (c *Collector) MeanStage(taskName string, stage Stage) (float64, int) {
+// Aggregate replays the log, in arrival order, into a fresh Aggregates —
+// the same fold a streaming run feeds record by record, so a query on a
+// retained run and on a streamed run of the same records agree exactly.
+func (c *Collector) Aggregate() *Aggregates {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	name := int32(-1)
-	if taskName != "" {
-		if name = c.lookup(taskName); name < 0 {
-			return 0, 0
-		}
-	}
-	var sum float64
-	n := 0
+	a := NewAggregates()
 	for _, r := range c.recs {
-		if Stage(r.stage) == stage && (name < 0 || r.name == name) {
-			sum += r.end - r.start
-			n++
-		}
+		a.Observe(c.decode(r))
 	}
-	if n == 0 {
-		return 0, 0
-	}
-	return sum / float64(n), n
-}
-
-// SumStage returns the total duration of a stage across matching tasks.
-func (c *Collector) SumStage(taskName string, stage Stage) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	name := int32(-1)
-	if taskName != "" {
-		if name = c.lookup(taskName); name < 0 {
-			return 0
-		}
-	}
-	var sum float64
-	for _, r := range c.recs {
-		if Stage(r.stage) == stage && (name < 0 || r.name == name) {
-			sum += r.end - r.start
-		}
-	}
-	return sum
-}
-
-// UserCodeMean returns the average full user-code time per task of the
-// given type: serial + parallel + CPU-GPU communication (§4.2).
-func (c *Collector) UserCodeMean(taskName string) float64 {
-	var total float64
-	for _, st := range []Stage{StageSerial, StageParallel, StageCommIn, StageCommOut} {
-		m, n := c.MeanStage(taskName, st)
-		if n > 0 {
-			total += m
-		}
-	}
-	return total
-}
-
-// MovementPerCore returns the mean (de)serialization time per active CPU
-// core — the paper's data-movement overhead metric, which exposes how well
-// (de)serialization parallelism matches the available cores.
-func (c *Collector) MovementPerCore(stage Stage) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	perCore := map[int]float64{}
-	for _, r := range c.recs {
-		if Stage(r.stage) == stage {
-			perCore[int(r.core)] += r.end - r.start
-		}
-	}
-	if len(perCore) == 0 {
-		return 0
-	}
-	// Sum in core order: float addition is non-associative, so summing in
-	// map order would make the reported mean's bits vary run to run.
-	cores := make([]int, 0, len(perCore))
-	for c := range perCore {
-		cores = append(cores, c)
-	}
-	sort.Ints(cores)
-	var sum float64
-	for _, c := range cores {
-		sum += perCore[c]
-	}
-	return sum / float64(len(perCore))
-}
-
-// LevelSpan returns the wall-clock span of one DAG level: from the first
-// stage start to the last stage end among the level's tasks. This is the
-// paper's "parallel task execution time", which includes every overhead
-// (scheduling, I/O, queueing).
-func (c *Collector) LevelSpan(level int) (start, end float64, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	first := true
-	for _, r := range c.recs {
-		if int(r.level) != level {
-			continue
-		}
-		if first {
-			start, end, first = r.start, r.end, false
-			continue
-		}
-		if r.start < start {
-			start = r.start
-		}
-		if r.end > end {
-			end = r.end
-		}
-	}
-	return start, end, !first
-}
-
-// Levels returns the sorted set of DAG levels present in the records.
-func (c *Collector) Levels() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	set := map[int]bool{}
-	for _, r := range c.recs {
-		set[int(r.level)] = true
-	}
-	out := make([]int, 0, len(set))
-	for l := range set {
-		out = append(out, l)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// MeanLevelSpan averages LevelSpan over every level — the per-iteration
-// parallel-task execution time reported in Figures 7 and 10.
-func (c *Collector) MeanLevelSpan() float64 {
-	levels := c.Levels()
-	if len(levels) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, l := range levels {
-		s, e, ok := c.LevelSpan(l)
-		if ok {
-			sum += e - s
-		}
-	}
-	return sum / float64(len(levels))
-}
-
-// Makespan returns the overall workflow span across all records.
-func (c *Collector) Makespan() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.recs) == 0 {
-		return 0
-	}
-	start, end := c.recs[0].start, c.recs[0].end
-	for _, r := range c.recs[1:] {
-		if r.start < start {
-			start = r.start
-		}
-		if r.end > end {
-			end = r.end
-		}
-	}
-	return end - start
-}
-
-// TaskNames returns the distinct task types observed, sorted.
-func (c *Collector) TaskNames() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	seen := make([]bool, len(c.names))
-	for _, r := range c.recs {
-		seen[r.name] = true
-	}
-	out := []string{}
-	for id, s := range seen {
-		if s {
-			out = append(out, c.names[id])
-		}
-	}
-	sort.Strings(out)
-	return out
+	return a
 }
 
 // WriteCSV dumps all records as CSV.

@@ -18,7 +18,7 @@ func sample() *Collector {
 }
 
 func TestMeanStage(t *testing.T) {
-	c := sample()
+	c := sample().Aggregate()
 	m, n := c.MeanStage("a", StageParallel)
 	if n != 2 || m != 3 {
 		t.Fatalf("mean = %v over %d, want 3 over 2", m, n)
@@ -32,14 +32,14 @@ func TestMeanStage(t *testing.T) {
 }
 
 func TestSumStage(t *testing.T) {
-	c := sample()
+	c := sample().Aggregate()
 	if got := c.SumStage("a", StageParallel); got != 6 {
 		t.Fatalf("sum = %v, want 6", got)
 	}
 }
 
 func TestUserCodeMean(t *testing.T) {
-	c := sample()
+	c := sample().Aggregate()
 	// Task type "a": parallel mean 3; no serial/comm records.
 	if got := c.UserCodeMean("a"); got != 3 {
 		t.Fatalf("user code mean = %v, want 3", got)
@@ -50,7 +50,7 @@ func TestUserCodeMean(t *testing.T) {
 }
 
 func TestMovementPerCore(t *testing.T) {
-	c := sample()
+	c := sample().Aggregate()
 	// Core 0: 1s deser; core 1: 2s deser → mean 1.5 across 2 active cores.
 	if got := c.MovementPerCore(StageDeser); got != 1.5 {
 		t.Fatalf("per-core deser = %v, want 1.5", got)
@@ -61,7 +61,7 @@ func TestMovementPerCore(t *testing.T) {
 }
 
 func TestLevelSpans(t *testing.T) {
-	c := sample()
+	c := sample().Aggregate()
 	s, e, ok := c.LevelSpan(0)
 	if !ok || s != 0 || e != 6 {
 		t.Fatalf("level 0 span = [%v,%v] ok=%v", s, e, ok)
@@ -83,20 +83,30 @@ func TestLevelSpans(t *testing.T) {
 }
 
 func TestTaskNames(t *testing.T) {
-	c := sample()
+	c := sample().Aggregate()
 	names := c.TaskNames()
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Fatalf("names = %v", names)
 	}
 }
 
+// TestEmptyCollector: an empty log aggregates to zero-valued queries.
 func TestEmptyCollector(t *testing.T) {
-	c := NewCollector()
-	if c.Makespan() != 0 || c.MeanLevelSpan() != 0 || c.MovementPerCore(StageDeser) != 0 {
+	c := NewCollector().Aggregate()
+	if c.Len() != 0 || c.Makespan() != 0 || c.MeanLevelSpan() != 0 || c.MovementPerCore(StageDeser) != 0 {
 		t.Fatal("empty collector returned nonzero aggregates")
 	}
 	if m, n := c.MeanStage("", StageDeser); m != 0 || n != 0 {
 		t.Fatal("empty MeanStage nonzero")
+	}
+	if c.SumStage("", StageDeser) != 0 || c.UserCodeMean("") != 0 {
+		t.Fatal("empty SumStage or UserCodeMean nonzero")
+	}
+	if _, _, ok := c.LevelSpan(0); ok {
+		t.Fatal("empty LevelSpan reported ok")
+	}
+	if len(c.Levels()) != 0 || len(c.TaskNames()) != 0 {
+		t.Fatalf("empty Levels %v / TaskNames %v", c.Levels(), c.TaskNames())
 	}
 }
 

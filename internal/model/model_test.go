@@ -104,7 +104,7 @@ func TestSimulatorRespectsBounds(t *testing.T) {
 			times[i] = perTask
 		}
 		b := BoundsForLevel(times, 128)
-		start, end, ok := res.Collector.LevelSpan(0)
+		start, end, ok := res.Collector.Aggregate().LevelSpan(0)
 		if !ok {
 			t.Fatal("no level 0 records")
 		}
@@ -150,7 +150,7 @@ func TestAdvisorAgreesWithSimulator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, e, _ := res.Collector.LevelSpan(0)
+			s, e, _ := res.Collector.Aggregate().LevelSpan(0)
 			return e - s
 		}
 		cpuSpan, gpuSpan := span(costmodel.CPU), span(costmodel.GPU)

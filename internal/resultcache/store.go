@@ -25,15 +25,6 @@ type Stats struct {
 	Bytes          int64  `json:"bytes"`
 }
 
-// HitRate returns hits/(hits+misses), or 0 before any Get.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // Store is a persistent content-addressed result cache: one blob file per
 // key under dir/blobs plus a JSON index tracking sizes and LRU recency.
 // All writes are atomic (temp file + rename), so a crash mid-write leaves

@@ -45,7 +45,7 @@ func TestSingleTaskMatchesCostModel(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		c := res.Collector
+		c := res.Collector.Aggregate()
 		serial, _ := c.MeanStage("t", metrics.StageSerial)
 		if math.Abs(serial-params.SerialTime(prof)) > 1e-9 {
 			return false

@@ -65,7 +65,7 @@ func TestSimChainSerializes(t *testing.T) {
 	// A 5-task chain has 5 levels; level spans must not overlap in a way
 	// that violates dependencies: each level starts at or after the
 	// previous level's user code ends.
-	if got := len(res.Collector.Levels()); got != 5 {
+	if got := len(res.Collector.Aggregate().Levels()); got != 5 {
 		t.Fatalf("levels = %d, want 5", got)
 	}
 	if res.SchedDecisions != 5 {
@@ -356,7 +356,7 @@ func TestSimUserCodeMatchesAnalytic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := res.Collector
+	c := res.Collector.Aggregate()
 	wantPar := params.ParallelTime(testProf, costmodel.GPU)
 	gotPar, _ := c.MeanStage("work", metrics.StageParallel)
 	if math.Abs(gotPar-wantPar) > 1e-9 {

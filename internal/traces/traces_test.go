@@ -111,14 +111,14 @@ func TestRoundTripWithSimulator(t *testing.T) {
 	// WritePRV encodes stage as state = int(Stage)+1 and core as Core+1.
 	deserState := int(metrics.StageDeser) + 1
 	fromTrace := tr.MeanPerCore(deserState)
-	fromCollector := res.Collector.MovementPerCore(metrics.StageDeser)
+	fromCollector := res.Collector.Aggregate().MovementPerCore(metrics.StageDeser)
 	if rel := math.Abs(fromTrace-fromCollector) / fromCollector; rel > 1e-6 {
 		t.Fatalf("per-core deser from trace %v vs collector %v (rel %v)",
 			fromTrace, fromCollector, rel)
 	}
 	// Trace span must equal the collected makespan (ns resolution).
 	s, e := tr.Span()
-	if math.Abs(float64(e-s)/1e9-res.Collector.Makespan()) > 1e-6 {
-		t.Fatalf("trace span %v vs makespan %v", float64(e-s)/1e9, res.Collector.Makespan())
+	if makespan := res.Collector.Aggregate().Makespan(); math.Abs(float64(e-s)/1e9-makespan) > 1e-6 {
+		t.Fatalf("trace span %v vs makespan %v", float64(e-s)/1e9, makespan)
 	}
 }

@@ -1,6 +1,7 @@
 package wfsim_test
 
 import (
+	"runtime"
 	"testing"
 
 	"wfsim"
@@ -32,11 +33,13 @@ func simAllocs(t *testing.T, iterations int, cfg wfsim.SimConfig) float64 {
 // warm-up) cancel out — and fails if the hot path regresses past a small
 // fixed budget.
 //
-// The datum-interning refactor pinned this near 2 allocations per task:
-// the task's datum-name string built by the app and its interner map
-// entry, both build-time; the simulate path itself is allocation-free in
-// steady state. The budget leaves headroom for noise, not for regressions:
-// if this fails, something on the per-task path started allocating.
+// Measured at 0.20 allocations per task (64 blocks), and none of them is
+// per task: about 4 per Lloyd iteration come from the build (the next
+// centers' name, the partial-sum range record, amortized table growth;
+// 0.07 per task, see TestBuildAllocBudget) and about 8 per iteration from
+// the simulation, spread over the iteration's 65 tasks. The budget leaves
+// headroom for noise, not for regressions: if this fails, something on the
+// per-task path started allocating.
 //
 // Both environments must hold the budget: the default shared-disk FIFO
 // path, and the local-disk locality path that exercises the placement
@@ -180,4 +183,63 @@ func TestSimAllocBudget(t *testing.T) {
 			t.Errorf("multi-tenant hot path allocates %.2f allocations per task, budget %v", perTask, budget)
 		}
 	})
+}
+
+// buildCost returns the heap allocations and bytes of one K-means build at
+// the given grid and iteration count, averaged over a few builds.
+func buildCost(t *testing.T, grid int64, iterations int) (mallocs, bytes float64) {
+	t.Helper()
+	const runs = 3
+	build := func() {
+		if _, err := wfsim.BuildKMeans(wfsim.KMeansConfig{
+			Dataset: wfsim.Datasets.KMeansSmall, Grid: grid, Clusters: 10,
+			Iterations: iterations,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / runs,
+		float64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
+// TestBuildAllocBudget is the DAG-build counterpart of TestSimAllocBudget:
+// the marginal heap allocations and bytes per task of building a 256-block
+// K-means, between 2 and 12 iterations so per-build fixed costs cancel.
+//
+// An ID-first build allocates nothing per task: tasks, parameters,
+// dependency lists and per-datum tables come from slabs, each iteration's
+// partial sums are one reserved ID range whose names are never rendered,
+// and every partial_sum shares one stored TaskSpec. What remains per task
+// is its share of those slabs, about 240 bytes: the Task itself (136 B),
+// 12 B per parameter, a spec index and one datum's bookkeeping. Building
+// one name string per partial sum, one map entry per datum or one TaskSpec
+// copy per task (about 1 allocation and 495 bytes per task) fails both
+// budgets.
+func TestBuildAllocBudget(t *testing.T) {
+	const (
+		grid         = 256
+		shallowIters = 2
+		deepIters    = 12
+		mallocBudget = 0.1   // per task
+		bytesBudget  = 320.0 // per task
+	)
+	m0, b0 := buildCost(t, grid, shallowIters)
+	m1, b1 := buildCost(t, grid, deepIters)
+	tasks := float64((grid + 1) * (deepIters - shallowIters))
+	mallocs, bytes := (m1-m0)/tasks, (b1-b0)/tasks
+	t.Logf("marginal per task: %.3f mallocs, %.0f bytes (budgets %v, %v)",
+		mallocs, bytes, mallocBudget, bytesBudget)
+	if mallocs > mallocBudget {
+		t.Errorf("build allocates %.3f times per task, budget %v", mallocs, mallocBudget)
+	}
+	if bytes > bytesBudget {
+		t.Errorf("build allocates %.0f bytes per task, budget %v", bytes, bytesBudget)
+	}
 }

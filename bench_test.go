@@ -309,6 +309,12 @@ func BenchmarkSimWorkflowLarge(b *testing.B) {
 // state), not O(tasks)) and recycles substrate storage through an arena
 // across iterations. Pending events peak at 4,096 on this run, so the
 // engine's 4-ary heap stays seven levels deep even at this scale.
+//
+// The DAG build is ID-first (DESIGN.md §9, §12): one -benchtime 1x
+// iteration measured 387 MB/op and 32 K allocs/op, down from 659 MB/op and
+// 1.06 M allocs/op when every partial sum was a name string, a map entry
+// and a TaskSpec copy (2-vCPU Xeon VM, Go 1.24, -cpu 2; about 10 s/op on
+// both sides).
 func BenchmarkSimWorkflowHuge(b *testing.B) {
 	b.ReportAllocs()
 	var arena wfsim.Arena
@@ -344,7 +350,11 @@ func BenchmarkSimWorkflowHuge(b *testing.B) {
 }
 
 // BenchmarkDAGBuild isolates workflow construction — task generation,
-// datum interning, dependency wiring — without simulating anything.
+// datum ID assignment, dependency wiring — without simulating anything: a
+// 256-block, 5-iteration K-means (1,285 tasks). Measured at 61 allocs/op,
+// 333 KB/op and about 0.34 ms/op, down from 1,577 allocs/op, 738 KB/op
+// and about 0.67 ms/op before the build went ID-first (2-vCPU Xeon VM,
+// Go 1.24, -cpu 2, three alternating runs each).
 func BenchmarkDAGBuild(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

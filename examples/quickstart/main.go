@@ -15,8 +15,11 @@ import (
 
 func main() {
 	// A three-stage pipeline over named data: produce -> square -> sum.
-	// Dependencies are inferred from the data directions, PyCOMPSs-style.
+	// Each datum gets a dense ID from its name; task parameters name data
+	// by ID, and dependencies are inferred from the data directions,
+	// PyCOMPSs-style.
 	wf := wfsim.NewWorkflow("quickstart")
+	vID, v2ID, totalID := wf.Datum("v"), wf.Datum("v2"), wf.Datum("total")
 
 	const n = 1 << 16
 	prof := wfsim.Profile{
@@ -29,9 +32,9 @@ func main() {
 		HostMemBytes:   16 * n,
 	}
 
-	wf.SetSize("v", 8*n)
-	wf.SetSize("v2", 8*n)
-	wf.SetSize("total", 8)
+	wf.SetSizeByID(vID, 8*n)
+	wf.SetSizeByID(v2ID, 8*n)
+	wf.SetSizeByID(totalID, 8)
 
 	wf.AddTask("produce", wfsim.TaskSpec{
 		Profile: prof,
@@ -43,7 +46,7 @@ func main() {
 			s.Put("v", b)
 			return nil
 		},
-	}, wfsim.Param{Data: "v", Dir: wfsim.Out})
+	}, wfsim.Param{Data: vID, Dir: wfsim.Out})
 
 	wf.AddTask("square", wfsim.TaskSpec{
 		Profile: prof,
@@ -56,7 +59,7 @@ func main() {
 			s.Put("v2", out)
 			return nil
 		},
-	}, wfsim.Param{Data: "v", Dir: wfsim.In}, wfsim.Param{Data: "v2", Dir: wfsim.Out})
+	}, wfsim.Param{Data: vID, Dir: wfsim.In}, wfsim.Param{Data: v2ID, Dir: wfsim.Out})
 
 	wf.AddTask("sum", wfsim.TaskSpec{
 		Profile: wfsim.Profile{SerialOps: n},
@@ -69,7 +72,7 @@ func main() {
 			s.Put("total", total)
 			return nil
 		},
-	}, wfsim.Param{Data: "v2", Dir: wfsim.In}, wfsim.Param{Data: "total", Dir: wfsim.Out})
+	}, wfsim.Param{Data: v2ID, Dir: wfsim.In}, wfsim.Param{Data: totalID, Dir: wfsim.Out})
 
 	fmt.Printf("DAG: %d tasks, width %d, height %d\n", wf.Graph.Len(), wf.Graph.MaxWidth(), wf.Graph.MaxHeight())
 	fmt.Println("    ", wf.Graph.Summary())

@@ -111,16 +111,10 @@ func MergeProfile(g, n, k int64) costmodel.Profile {
 	}
 }
 
-// Data keys. Built with strconv appends instead of fmt.Sprintf: key
-// construction dominates workflow-build allocations at large grids, and an
-// append chain into a pre-sized buffer costs a single string allocation.
-func keyBlock(b int64) string {
-	buf := make([]byte, 0, 16)
-	buf = append(buf, "X["...)
-	buf = strconv.AppendInt(buf, b, 10)
-	buf = append(buf, ']')
-	return string(buf)
-}
+// Data keys. Build reserves the indexed families X[b] and ps[it,b] as ID
+// ranges, whose names the interner renders on demand; these functions
+// spell the same names for the local backend's store and for tests.
+func keyBlock(b int64) string { return dag.IndexedName("X", b) }
 
 // KeyCenters returns the datum name of the centers after iteration it
 // (KeyCenters(0) is the initial centers input).
@@ -131,15 +125,7 @@ func KeyCenters(it int) string {
 	return string(buf)
 }
 
-func keyPartial(it int, b int64) string {
-	buf := make([]byte, 0, 24)
-	buf = append(buf, "ps["...)
-	buf = strconv.AppendInt(buf, int64(it), 10)
-	buf = append(buf, ',')
-	buf = strconv.AppendInt(buf, b, 10)
-	buf = append(buf, ']')
-	return string(buf)
-}
+func keyPartial(it int, b int64) string { return dag.IndexedName("ps", int64(it), b) }
 
 // Build constructs the workflow.
 func Build(cfg Config) (*runtime.Workflow, error) {
@@ -153,6 +139,7 @@ func Build(cfg Config) (*runtime.Workflow, error) {
 	k := cfg.Clusters
 
 	wf := runtime.NewWorkflow("kmeans")
+	data := wf.Graph.Data()
 	// Exact shape: per iteration g partial_sums (3 params each) + one
 	// merge (g+1 params); datums are g blocks, iters+1 centers versions
 	// and g partials per iteration.
@@ -169,12 +156,9 @@ func Build(cfg Config) (*runtime.Workflow, error) {
 			dataset.FormatBytes(part.SizeBytes()), dataset.FormatBytes(cfg.MaterializeBudget))
 	}
 
-	// Input blocks. Keys are built once and reused across every iteration
-	// below — at grid 1024 × 100 iterations that is ~100k avoided string
-	// builds.
-	blockKeys := make([]string, g)
+	// Input blocks: one ID range, X[0..g).
+	blocks := data.Range("X", g)
 	for b := int64(0); b < g; b++ {
-		blockKeys[b] = keyBlock(b)
 		rows, cols, err := part.BlockShape(b, 0)
 		if err != nil {
 			return nil, err
@@ -186,17 +170,15 @@ func Build(cfg Config) (*runtime.Workflow, error) {
 			} else {
 				gen.FillBlobs(blk, int(k), 0.5)
 			}
-			wf.SetInput(blockKeys[b], blk)
+			wf.SetInput(keyBlock(b), blk)
 		} else {
-			wf.SetSize(blockKeys[b], float64(rows*cols*dataset.ElemSize))
+			wf.SetSizeByID(blocks.ID(b), float64(rows*cols*dataset.ElemSize))
 		}
 	}
 	// Initial centers: the first k rows of block 0 (dislib's default-ish
 	// deterministic init).
 	centersBytes := float64(k * n * dataset.ElemSize)
 	if cfg.Materialize {
-		first := wf.Size(keyBlock(0)) // ensure block exists
-		_ = first
 		blk0Rows, _, _ := part.BlockShape(0, 0)
 		if blk0Rows < k {
 			return nil, fmt.Errorf("kmeans: block 0 has %d rows < %d clusters", blk0Rows, k)
@@ -215,34 +197,35 @@ func Build(cfg Config) (*runtime.Workflow, error) {
 		wf.SetSize(KeyCenters(0), centersBytes)
 	}
 
-	// Iterations.
+	// Iterations: each reserves its partial sums ps[it,0..g) as one range.
+	prevC := wf.Datum(KeyCenters(0))
 	mergeParams := make([]dag.Param, 0, g+1)
 	for it := 0; it < cfg.Iterations; it++ {
-		prevC := KeyCenters(it)
+		partials := data.Range("ps", g, int64(it))
 		mergeParams = mergeParams[:0]
 		for b := int64(0); b < g; b++ {
 			rows, cols, err := part.BlockShape(b, 0)
 			if err != nil {
 				return nil, err
 			}
-			ps := keyPartial(it, b)
-			wf.SetSize(ps, float64(k*(n+1)*dataset.ElemSize))
+			ps := partials.ID(b)
+			wf.SetSizeByID(ps, float64(k*(n+1)*dataset.ElemSize))
 			spec := runtime.TaskSpec{Profile: PartialSumProfile(rows, cols, k)}
 			if cfg.Materialize {
-				xKey, cKey, psKey := blockKeys[b], prevC, ps
+				xKey, cKey, psKey := keyBlock(b), KeyCenters(it), keyPartial(it, b)
 				kk := k
 				spec.Exec = func(s *runtime.Store) error {
 					return execPartialSum(s, xKey, cKey, psKey, kk)
 				}
 			}
 			wf.AddTask("partial_sum", spec,
-				dag.Param{Data: blockKeys[b], Dir: dag.In},
+				dag.Param{Data: blocks.ID(b), Dir: dag.In},
 				dag.Param{Data: prevC, Dir: dag.In},
 				dag.Param{Data: ps, Dir: dag.Out})
 			mergeParams = append(mergeParams, dag.Param{Data: ps, Dir: dag.In})
 		}
-		nextC := KeyCenters(it + 1)
-		wf.SetSize(nextC, centersBytes)
+		nextC := wf.Datum(KeyCenters(it + 1))
+		wf.SetSizeByID(nextC, centersBytes)
 		mergeParams = append(mergeParams, dag.Param{Data: nextC, Dir: dag.Out})
 		spec := runtime.TaskSpec{Profile: MergeProfile(g, n, k)}
 		if cfg.Materialize {
@@ -252,6 +235,7 @@ func Build(cfg Config) (*runtime.Workflow, error) {
 			}
 		}
 		wf.AddTask("merge", spec, mergeParams...)
+		prevC = nextC
 	}
 	return wf, nil
 }
@@ -374,38 +358,43 @@ func BuildPredict(cfg Config, centersKey string) (*runtime.Workflow, error) {
 		return nil, fmt.Errorf("kmeans: %s exceeds materialization budget",
 			dataset.FormatBytes(part.SizeBytes()))
 	}
-	wf.SetSize(centersKey, float64(cfg.Clusters*cfg.Dataset.Cols*dataset.ElemSize))
+	centers := wf.Datum(centersKey)
+	wf.SetSizeByID(centers, float64(cfg.Clusters*cfg.Dataset.Cols*dataset.ElemSize))
+	// Blocks and labels interleave in ID order (X[0], labels[0], X[1],
+	// ...), so each is a named datum rather than a range.
 	for b := int64(0); b < part.GridRows; b++ {
 		rows, cols, err := part.BlockShape(b, 0)
 		if err != nil {
 			return nil, err
 		}
+		xKey, lKey := keyBlock(b), KeyLabels(b)
+		x := wf.Datum(xKey)
 		if cfg.Materialize {
 			blk := dataset.NewBlock(dataset.BlockID{Row: b}, rows, cols)
 			gen.FillBlobs(blk, int(cfg.Clusters), 0.5)
-			wf.SetInput(keyBlock(b), blk)
+			wf.SetInput(xKey, blk)
 		} else {
-			wf.SetSize(keyBlock(b), float64(rows*cols*dataset.ElemSize))
+			wf.SetSizeByID(x, float64(rows*cols*dataset.ElemSize))
 		}
-		lbl := KeyLabels(b)
-		wf.SetSize(lbl, float64(rows*dataset.ElemSize))
+		lbl := wf.Datum(lKey)
+		wf.SetSizeByID(lbl, float64(rows*dataset.ElemSize))
 		spec := runtime.TaskSpec{Profile: PredictProfile(rows, cols, cfg.Clusters)}
 		if cfg.Materialize {
-			xKey, cKey, lKey, kk := keyBlock(b), centersKey, lbl, cfg.Clusters
+			kk := cfg.Clusters
 			spec.Exec = func(s *runtime.Store) error {
-				return execPredict(s, xKey, cKey, lKey, kk)
+				return execPredict(s, xKey, centersKey, lKey, kk)
 			}
 		}
 		wf.AddTask("predict", spec,
-			dag.Param{Data: keyBlock(b), Dir: dag.In},
-			dag.Param{Data: centersKey, Dir: dag.In},
+			dag.Param{Data: x, Dir: dag.In},
+			dag.Param{Data: centers, Dir: dag.In},
 			dag.Param{Data: lbl, Dir: dag.Out})
 	}
 	return wf, nil
 }
 
 // KeyLabels returns the datum name of block b's label vector.
-func KeyLabels(b int64) string { return fmt.Sprintf("labels[%d]", b) }
+func KeyLabels(b int64) string { return dag.IndexedName("labels", b) }
 
 // execPredict assigns each sample its nearest-center index.
 func execPredict(s *runtime.Store, xKey, cKey, lKey string, k int64) error {

@@ -105,15 +105,17 @@ func UpdateProfile(g, n int64) costmodel.Profile {
 	}
 }
 
-// Data keys.
-func keyX(b int64) string { return fmt.Sprintf("X[%d]", b) }
-func keyY(b int64) string { return fmt.Sprintf("y[%d]", b) }
+// Data keys. X and y interleave in ID order (X[0], y[0], X[1], ...), so
+// they are named datums; each iteration's deltas d[it,0..g) are one ID
+// range, named by the interner on demand in keyDelta's spelling.
+func keyX(b int64) string { return dag.IndexedName("X", b) }
+func keyY(b int64) string { return dag.IndexedName("y", b) }
 
 // KeyWeights returns the datum name of the weights after iteration it
 // (KeyWeights(0) is the zero-initialized input).
 func KeyWeights(it int) string { return fmt.Sprintf("w%d", it) }
 
-func keyDelta(it int, b int64) string { return fmt.Sprintf("d[%d,%d]", it, b) }
+func keyDelta(it int, b int64) string { return dag.IndexedName("d", int64(it), b) }
 
 // TrueWeights returns the hidden weight vector targets are generated from
 // (for convergence verification): w*_j = (j+1)/N.
@@ -152,7 +154,9 @@ func Build(cfg Config) (*runtime.Workflow, error) {
 	}
 
 	trueW := TrueWeights(n)
+	xs, ys := make([]int32, g), make([]int32, g)
 	for b := int64(0); b < g; b++ {
+		xs[b], ys[b] = wf.Datum(keyX(b)), wf.Datum(keyY(b))
 		rows, cols, err := part.BlockShape(b, 0)
 		if err != nil {
 			return nil, err
@@ -171,8 +175,8 @@ func Build(cfg Config) (*runtime.Workflow, error) {
 			wf.SetInput(keyX(b), x)
 			wf.SetInput(keyY(b), y)
 		} else {
-			wf.SetSize(keyX(b), float64(rows*cols*dataset.ElemSize))
-			wf.SetSize(keyY(b), float64(rows*dataset.ElemSize))
+			wf.SetSizeByID(xs[b], float64(rows*cols*dataset.ElemSize))
+			wf.SetSizeByID(ys[b], float64(rows*dataset.ElemSize))
 		}
 	}
 	wBytes := float64(n * dataset.ElemSize)
@@ -182,33 +186,35 @@ func Build(cfg Config) (*runtime.Workflow, error) {
 		wf.SetSize(KeyWeights(0), wBytes)
 	}
 
+	prevW := wf.Datum(KeyWeights(0))
+	updateParams := make([]dag.Param, 0, g+2)
 	for it := 0; it < cfg.Iterations; it++ {
-		prevW := KeyWeights(it)
-		updateParams := []dag.Param{}
+		deltas := wf.Graph.Data().Range("d", g, int64(it))
+		updateParams = updateParams[:0]
 		for b := int64(0); b < g; b++ {
 			rows, cols, err := part.BlockShape(b, 0)
 			if err != nil {
 				return nil, err
 			}
-			gk := keyDelta(it, b)
-			wf.SetSize(gk, wBytes)
+			gk := deltas.ID(b)
+			wf.SetSizeByID(gk, wBytes)
 			spec := runtime.TaskSpec{Profile: GradientProfile(rows, cols, cfg.LocalEpochs)}
 			if cfg.Materialize {
-				xK, yK, wK, gK := keyX(b), keyY(b), prevW, gk
+				xK, yK, wK, gK := keyX(b), keyY(b), KeyWeights(it), keyDelta(it, b)
 				epochs, eta := cfg.LocalEpochs, cfg.LearningRate
 				spec.Exec = func(s *runtime.Store) error {
 					return execLocalGD(s, xK, yK, wK, gK, epochs, eta)
 				}
 			}
 			wf.AddTask("gradient", spec,
-				dag.Param{Data: keyX(b), Dir: dag.In},
-				dag.Param{Data: keyY(b), Dir: dag.In},
+				dag.Param{Data: xs[b], Dir: dag.In},
+				dag.Param{Data: ys[b], Dir: dag.In},
 				dag.Param{Data: prevW, Dir: dag.In},
 				dag.Param{Data: gk, Dir: dag.Out})
 			updateParams = append(updateParams, dag.Param{Data: gk, Dir: dag.In})
 		}
-		nextW := KeyWeights(it + 1)
-		wf.SetSize(nextW, wBytes)
+		nextW := wf.Datum(KeyWeights(it + 1))
+		wf.SetSizeByID(nextW, wBytes)
 		updateParams = append(updateParams,
 			dag.Param{Data: prevW, Dir: dag.In},
 			dag.Param{Data: nextW, Dir: dag.Out})
@@ -220,6 +226,7 @@ func Build(cfg Config) (*runtime.Workflow, error) {
 			}
 		}
 		wf.AddTask("update", spec, updateParams...)
+		prevW = nextW
 	}
 	return wf, nil
 }

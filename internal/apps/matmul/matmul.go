@@ -93,15 +93,16 @@ func FMAProfile(n int64) costmodel.Profile {
 	return mm
 }
 
-// keyA, keyB, keyC name the data blocks.
-func keyA(r, c int64) string { return fmt.Sprintf("A[%d,%d]", r, c) }
-func keyB(r, c int64) string { return fmt.Sprintf("B[%d,%d]", r, c) }
+// keyA, keyB, keyC name the data blocks. A and B interleave in ID order
+// (A[0,0], B[0,0], A[0,1], ...) and C follows its partial products, so
+// these are named datums; each output's partial products P[r,c,k] are one
+// ID range, named by the interner on demand in the same spelling.
+func keyA(r, c int64) string { return dag.IndexedName("A", r, c) }
+func keyB(r, c int64) string { return dag.IndexedName("B", r, c) }
 
 // KeyC returns the datum name of output block (r, c): the key examples and
 // tests read results from.
-func KeyC(r, c int64) string { return fmt.Sprintf("C[%d,%d]", r, c) }
-
-func keyPartial(r, c, k int64) string { return fmt.Sprintf("P[%d,%d,%d]", r, c, k) }
+func KeyC(r, c int64) string { return dag.IndexedName("C", r, c) }
 
 // Build constructs the workflow.
 func Build(cfg Config) (*runtime.Workflow, error) {
@@ -144,27 +145,29 @@ func Build(cfg Config) (*runtime.Workflow, error) {
 	}
 
 	// Declare input blocks (A and B share the partition geometry).
+	in := inputs{a: make([]int32, g*g), b: make([]int32, g*g), g: g}
 	for r := int64(0); r < g; r++ {
 		for c := int64(0); c < g; c++ {
 			rows, cols, err := part.BlockShape(r, c)
 			if err != nil {
 				return nil, err
 			}
-			bytes := float64(rows * cols * dataset.ElemSize)
 			for _, mk := range []struct {
-				key  string
-				id   dataset.BlockID
-				fill func(*dataset.Block)
+				key string
+				ids []int32
+				blk dataset.BlockID
 			}{
-				{keyA(r, c), dataset.BlockID{Row: r, Col: c}, gen.Fill},
-				{keyB(r, c), dataset.BlockID{Row: r + g, Col: c}, gen.Fill},
+				{keyA(r, c), in.a, dataset.BlockID{Row: r, Col: c}},
+				{keyB(r, c), in.b, dataset.BlockID{Row: r + g, Col: c}},
 			} {
+				id := wf.Datum(mk.key)
+				mk.ids[r*g+c] = id
 				if cfg.Materialize {
-					b := dataset.NewBlock(mk.id, rows, cols)
-					mk.fill(b)
-					wf.SetInput(mk.key, b)
+					blk := dataset.NewBlock(mk.blk, rows, cols)
+					gen.Fill(blk)
+					wf.SetInput(mk.key, blk)
 				} else {
-					wf.SetSize(mk.key, bytes)
+					wf.SetSizeByID(id, float64(rows*cols*dataset.ElemSize))
 				}
 			}
 		}
@@ -172,60 +175,81 @@ func Build(cfg Config) (*runtime.Workflow, error) {
 
 	switch cfg.Variant {
 	case Dislib:
-		buildDislib(wf, part, cfg.Materialize)
+		buildDislib(wf, part, in, cfg.Materialize)
 	case FMA:
-		buildFMA(wf, part, cfg.Materialize)
+		buildFMA(wf, part, in, cfg.Materialize)
 	default:
 		return nil, fmt.Errorf("matmul: unknown variant %d", cfg.Variant)
 	}
 	return wf, nil
 }
 
+// inputs holds the datum IDs of the input blocks, row-major.
+type inputs struct {
+	a, b []int32
+	g    int64
+}
+
+func (in inputs) A(r, c int64) int32 { return in.a[r*in.g+c] }
+func (in inputs) B(r, c int64) int32 { return in.b[r*in.g+c] }
+
 // buildDislib emits g³ matmul_func tasks plus per-output binary add trees.
-func buildDislib(wf *runtime.Workflow, part dataset.Partition, real bool) {
+func buildDislib(wf *runtime.Workflow, part dataset.Partition, in inputs, real bool) {
 	g := part.GridRows
 	mmProf, addProf := Profiles(part.BlockRows)
+	blockBytes := float64(part.BlockRows * part.BlockCols * dataset.ElemSize)
+	name := wf.Graph.Data().Name
+	partials := make([]int32, 0, g)
+	var next []int32
 	for r := int64(0); r < g; r++ {
 		for c := int64(0); c < g; c++ {
-			// Partial products.
-			partials := make([]string, 0, g)
+			// Partial products: P[r,c,0..g), or C[r,c] itself when a
+			// single product is the output.
+			var products dag.Range
+			if g > 1 {
+				products = wf.Graph.Data().Range("P", g, r, c)
+			}
+			partials = partials[:0]
 			for k := int64(0); k < g; k++ {
-				out := keyPartial(r, c, k)
+				var out int32
 				if g == 1 {
-					out = KeyC(r, c) // single product is the output
+					out = wf.Datum(KeyC(r, c))
+				} else {
+					out = products.ID(k)
 				}
-				wf.SetSize(out, float64(part.BlockRows*part.BlockCols*dataset.ElemSize))
+				wf.SetSizeByID(out, blockBytes)
 				spec := runtime.TaskSpec{Profile: mmProf}
 				if real {
-					a, b := keyA(r, k), keyB(k, c)
-					outKey := out
+					a, b, outKey := keyA(r, k), keyB(k, c), name(out)
 					spec.Exec = func(s *runtime.Store) error {
 						return execMatmul(s, a, b, outKey)
 					}
 				}
 				wf.AddTask("matmul_func", spec,
-					dag.Param{Data: keyA(r, k), Dir: dag.In},
-					dag.Param{Data: keyB(k, c), Dir: dag.In},
+					dag.Param{Data: in.A(r, k), Dir: dag.In},
+					dag.Param{Data: in.B(k, c), Dir: dag.In},
 					dag.Param{Data: out, Dir: dag.Out})
 				partials = append(partials, out)
 			}
 			// Binary reduction tree over the g partials.
 			round := 0
 			for len(partials) > 1 {
-				var next []string
+				next = next[:0]
 				for i := 0; i < len(partials); i += 2 {
 					if i+1 == len(partials) {
 						next = append(next, partials[i])
 						continue
 					}
-					out := fmt.Sprintf("S[%d,%d]r%d.%d", r, c, round, i/2)
+					var out int32
 					if len(partials) == 2 {
-						out = KeyC(r, c)
+						out = wf.Datum(KeyC(r, c))
+					} else {
+						out = wf.Datum(fmt.Sprintf("S[%d,%d]r%d.%d", r, c, round, i/2))
 					}
-					wf.SetSize(out, float64(part.BlockRows*part.BlockCols*dataset.ElemSize))
+					wf.SetSizeByID(out, blockBytes)
 					spec := runtime.TaskSpec{Profile: addProf}
 					if real {
-						x, y, outKey := partials[i], partials[i+1], out
+						x, y, outKey := name(partials[i]), name(partials[i+1]), name(out)
 						spec.Exec = func(s *runtime.Store) error {
 							return execAdd(s, x, y, outKey)
 						}
@@ -236,7 +260,7 @@ func buildDislib(wf *runtime.Workflow, part dataset.Partition, real bool) {
 						dag.Param{Data: out, Dir: dag.Out})
 					next = append(next, out)
 				}
-				partials = next
+				partials, next = next, partials
 				round++
 			}
 		}
@@ -245,13 +269,13 @@ func buildDislib(wf *runtime.Workflow, part dataset.Partition, real bool) {
 
 // buildFMA emits g³ fused tasks: C[i,j] += A[i,k]·B[k,j], serialized in k
 // per output block by the INOUT accumulator dependency.
-func buildFMA(wf *runtime.Workflow, part dataset.Partition, real bool) {
+func buildFMA(wf *runtime.Workflow, part dataset.Partition, in inputs, real bool) {
 	g := part.GridRows
 	prof := FMAProfile(part.BlockRows)
 	for r := int64(0); r < g; r++ {
 		for c := int64(0); c < g; c++ {
-			out := KeyC(r, c)
-			wf.SetSize(out, float64(part.BlockRows*part.BlockCols*dataset.ElemSize))
+			out := wf.Datum(KeyC(r, c))
+			wf.SetSizeByID(out, float64(part.BlockRows*part.BlockCols*dataset.ElemSize))
 			// Zero-init accumulator task (serial, negligible cost).
 			initSpec := runtime.TaskSpec{Profile: costmodel.Profile{
 				Kernel: costmodel.KernelGeneric, SerialOps: 1000,
@@ -271,14 +295,14 @@ func buildFMA(wf *runtime.Workflow, part dataset.Partition, real bool) {
 			for k := int64(0); k < g; k++ {
 				spec := runtime.TaskSpec{Profile: prof}
 				if real {
-					a, b, outKey := keyA(r, k), keyB(k, c), out
+					a, b, outKey := keyA(r, k), keyB(k, c), KeyC(r, c)
 					spec.Exec = func(s *runtime.Store) error {
 						return execFMA(s, a, b, outKey)
 					}
 				}
 				wf.AddTask("fma_func", spec,
-					dag.Param{Data: keyA(r, k), Dir: dag.In},
-					dag.Param{Data: keyB(k, c), Dir: dag.In},
+					dag.Param{Data: in.A(r, k), Dir: dag.In},
+					dag.Param{Data: in.B(k, c), Dir: dag.In},
 					dag.Param{Data: out, Dir: dag.InOut})
 			}
 		}

@@ -10,10 +10,10 @@ func unit(*Task) float64 { return 1 }
 
 func TestCriticalPathUnitWeightsEqualsHeight(t *testing.T) {
 	g := New()
-	g.Add("a", nil, Param{Data: "x", Dir: Out})
-	g.Add("b", nil, Param{Data: "x", Dir: In}, Param{Data: "y", Dir: Out})
-	g.Add("c", nil, Param{Data: "y", Dir: In})
-	g.Add("d", nil, Param{Data: "x", Dir: In}) // parallel branch
+	g.Add("a", Param{Data: g.Datum("x"), Dir: Out})
+	g.Add("b", Param{Data: g.Datum("x"), Dir: In}, Param{Data: g.Datum("y"), Dir: Out})
+	g.Add("c", Param{Data: g.Datum("y"), Dir: In})
+	g.Add("d", Param{Data: g.Datum("x"), Dir: In}) // parallel branch
 	path, length := g.CriticalPath(unit)
 	if length != 3 {
 		t.Fatalf("length = %v, want 3", length)
@@ -26,10 +26,10 @@ func TestCriticalPathUnitWeightsEqualsHeight(t *testing.T) {
 func TestCriticalPathWeighted(t *testing.T) {
 	// A heavy single task beats a longer light chain.
 	g := New()
-	g.Add("chain1", nil, Param{Data: "a", Dir: Out})
-	g.Add("chain2", nil, Param{Data: "a", Dir: In}, Param{Data: "b", Dir: Out})
-	g.Add("chain3", nil, Param{Data: "b", Dir: In})
-	heavy := g.Add("heavy", nil, Param{Data: "c", Dir: Out})
+	g.Add("chain1", Param{Data: g.Datum("a"), Dir: Out})
+	g.Add("chain2", Param{Data: g.Datum("a"), Dir: In}, Param{Data: g.Datum("b"), Dir: Out})
+	g.Add("chain3", Param{Data: g.Datum("b"), Dir: In})
+	heavy := g.Add("heavy", Param{Data: g.Datum("c"), Dir: Out})
 	weights := map[int]float64{0: 1, 1: 1, 2: 1, heavy.ID: 10}
 	path, length := g.CriticalPath(func(t *Task) float64 { return weights[t.ID] })
 	if length != 10 {
@@ -49,8 +49,8 @@ func TestCriticalPathEmpty(t *testing.T) {
 
 func TestTotalWeight(t *testing.T) {
 	g := New()
-	g.Add("a", nil, Param{Data: "x", Dir: Out})
-	g.Add("b", nil, Param{Data: "x", Dir: In})
+	g.Add("a", Param{Data: g.Datum("x"), Dir: Out})
+	g.Add("b", Param{Data: g.Datum("x"), Dir: In})
 	if got := g.TotalWeight(func(*Task) float64 { return 2.5 }); got != 5 {
 		t.Fatalf("total = %v, want 5", got)
 	}
@@ -73,9 +73,9 @@ func TestCriticalPathProperties(t *testing.T) {
 		var maxW float64
 		for i := 0; i < n; i++ {
 			params := []Param{
-				{Data: data[rng.IntN(len(data))], Dir: Direction(rng.IntN(3))},
+				{Data: g.Datum(data[rng.IntN(len(data))]), Dir: Direction(rng.IntN(3))},
 			}
-			task := g.Add("t", nil, params...)
+			task := g.Add("t", params...)
 			w := rng.Float64()*5 + 0.1
 			weights[task.ID] = w
 			if w > maxW {

@@ -12,12 +12,16 @@
 // width is the degree of task-level parallelism and its height the degree
 // of task dependency (both appear in the Figure 11 correlation analysis).
 //
-// Datum names are application-chosen strings (e.g. "A[0,1]") at the API
-// surface, but the graph interns every name into a dense int32 datum ID on
-// first touch. All internal bookkeeping — last-writer tracking, version
-// counts — and every layer below (workflow sizes, storage locations,
-// scheduler locality scoring) is indexed by datum ID, so the steady-state
-// task lifecycle never hashes a string.
+// The DAG is built ID-first: a task parameter names its datum by a dense
+// int32 ID, never by string. Builders get IDs from the graph's Interner,
+// either one named datum at a time (Datum, for "C3" or "A[0,1]") or a
+// contiguous range per indexed family (Range/Grid, for X[b] or ps[it,b]).
+// A range's member names are rendered from the index only when something
+// asks for them — input listings, validation errors, tests — so a
+// million-task build creates no per-datum strings or map entries. All
+// bookkeeping here (last writers, version counts) and in every layer below
+// (workflow sizes, storage locations, locality scoring) is indexed by
+// datum ID.
 package dag
 
 import (
@@ -28,7 +32,7 @@ import (
 
 // Direction declares how a task uses a data parameter, mirroring
 // PyCOMPSs' IN/OUT/INOUT parameter annotations.
-type Direction int
+type Direction uint8
 
 const (
 	// In marks data the task only reads.
@@ -52,10 +56,12 @@ func (d Direction) String() string {
 	}
 }
 
-// Param is one data parameter of a task: a datum name plus an access
-// direction. Datum names are application-chosen (e.g. "A[0,1]").
+// Param is one data parameter of a task: a datum ID plus an access
+// direction, 8 bytes. Data comes from the graph's Interner (Graph.Datum,
+// Interner.Range or Interner.Grid); the datum's name, if anyone needs it,
+// is Interner.Name(Data).
 type Param struct {
-	Data string
+	Data int32
 	Dir  Direction
 }
 
@@ -64,46 +70,6 @@ func (p Param) Reads() bool { return p.Dir == In || p.Dir == InOut }
 
 // Writes reports whether the parameter writes its datum.
 func (p Param) Writes() bool { return p.Dir == Out || p.Dir == InOut }
-
-// Interner maps datum names to dense int32 IDs and back. IDs are assigned
-// in first-touch order starting at 0, so they index plain slices in every
-// layer that tracks per-datum state.
-type Interner struct {
-	ids   map[string]int32
-	names []string
-}
-
-// NewInterner returns an empty interner, pre-sized for workflow-scale
-// datum counts so steady map growth does not dominate DAG construction.
-func NewInterner() *Interner {
-	return &Interner{
-		ids:   make(map[string]int32, 1024),
-		names: make([]string, 0, 1024),
-	}
-}
-
-// Intern returns the ID of name, assigning the next dense ID on first use.
-func (in *Interner) Intern(name string) int32 {
-	if id, ok := in.ids[name]; ok {
-		return id
-	}
-	id := int32(len(in.names))
-	in.names = append(in.names, name)
-	in.ids[name] = id
-	return id
-}
-
-// Lookup returns the ID of name if it has been interned.
-func (in *Interner) Lookup(name string) (int32, bool) {
-	id, ok := in.ids[name]
-	return id, ok
-}
-
-// Name returns the name interned under id.
-func (in *Interner) Name(id int32) string { return in.names[id] }
-
-// Len returns the number of interned names (== 1 + the largest ID).
-func (in *Interner) Len() int { return len(in.names) }
 
 // Task is a node of the DAG.
 type Task struct {
@@ -116,14 +82,11 @@ type Task struct {
 	// Params are the data parameters that induced the task's edges.
 	// Graph.Add copies them, so the caller's slice is not retained.
 	Params []Param
-	// Payload carries runtime-specific data (cost profile, kernel
-	// function); the dag package never inspects it.
-	Payload any
 	// Level is the task's depth: 0 for source tasks, otherwise
 	// 1 + max(level of predecessors). Populated by Graph.Add.
 	Level int
 
-	dataIDs []int32 // interned datum ID of each Param, same indexing
+	dataIDs []int32 // Params[i].Data, as a flat slice
 	deps    []int   // predecessor task IDs, ascending, deduplicated
 	succs   []int   // successor task IDs in insertion order (built lazily)
 	g       *Graph
@@ -140,17 +103,19 @@ func (t *Task) Succs() []int {
 	return t.succs
 }
 
-// DataIDs returns the interned datum ID of each parameter, parallel to
-// Params (do not modify).
+// DataIDs returns the datum ID of each parameter, parallel to Params (do
+// not modify).
 func (t *Task) DataIDs() []int32 { return t.dataIDs }
 
 // Graph is an execution DAG under construction. The zero value is not
 // usable; construct with New.
 //
 // Tasks, their parameter lists and their dependency lists are carved out
-// of slab arenas owned by the graph, so building an n-task DAG costs O(log
-// n) slab allocations instead of O(n) small ones — the difference between
-// a 100k-task build thrashing the allocator and not.
+// of slab arenas owned by the graph, so building an n-task DAG costs one
+// slab allocation per thousands of tasks instead of O(n) small ones — the
+// difference between a 100k-task build thrashing the allocator and not. A
+// stored parameter costs 12 bytes: its Param and its ID in the DataIDs
+// slab.
 type Graph struct {
 	tasks []*Task
 	data  *Interner
@@ -161,7 +126,7 @@ type Graph struct {
 	taskArena  []Task  // current task slab; never moved once handed out
 	paramArena []Param // current Param slab
 	idArena    []int32 // current datum-ID slab
-	depArena   []int   // current dependency slab
+	depArena   []int   // current dependency slab, grown lazily
 
 	succsBuilt bool // successor lists are up to date
 	succArena  []int
@@ -173,12 +138,17 @@ func New() *Graph {
 	return &Graph{data: NewInterner()}
 }
 
-// Hint pre-sizes the graph for a build of about tasks tasks, data
-// distinct datums and params total task parameters, collapsing the
-// geometric slab growth (and its copying) into one exact allocation per
-// arena. A builder that knows its counts — every generator-style workload
-// does — calls this once before the first Add; estimates only need to be
-// close, construction still grows past them correctly.
+// Hint pre-sizes the graph for a build of about tasks tasks, data datum
+// IDs and params total task parameters, collapsing the geometric slab
+// growth (and its copying) into one exact allocation per arena. A builder
+// that knows its counts — every generator-style workload does — calls
+// this once before the first Add; estimates only need to be close,
+// construction still grows past them correctly.
+//
+// Two tables size themselves instead: the dependency slab, because a
+// task's edges are fewer than its parameters and unknown until Add runs,
+// grows in bounded chunks; and the interner's name map holds named datums
+// only, which a range-reserving builder has few of.
 func (g *Graph) Hint(tasks, data, params int) {
 	if tasks > cap(g.tasks) {
 		t := make([]*Task, len(g.tasks), tasks)
@@ -194,9 +164,6 @@ func (g *Graph) Hint(tasks, data, params int) {
 	if cap(g.idArena)-len(g.idArena) < params {
 		g.idArena = make([]int32, 0, params)
 	}
-	if cap(g.depArena)-len(g.depArena) < params {
-		g.depArena = make([]int, 0, params)
-	}
 	if data > cap(g.lastWriter) {
 		lw := make([]int32, len(g.lastWriter), data)
 		copy(lw, g.lastWriter)
@@ -205,38 +172,26 @@ func (g *Graph) Hint(tasks, data, params int) {
 		copy(v, g.versions)
 		g.versions = v
 	}
-	g.data.Hint(data)
-}
-
-// Hint pre-sizes the interner for about data distinct names.
-func (in *Interner) Hint(data int) {
-	if data > cap(in.names) {
-		n := make([]string, len(in.names), data)
-		copy(n, in.names)
-		in.names = n
-	}
-	if len(in.ids) == 0 && data > 1024 {
-		in.ids = make(map[string]int32, data)
-	}
 }
 
 // Data returns the graph's datum interner, shared with every layer that
 // keys per-datum state by ID.
 func (g *Graph) Data() *Interner { return g.data }
 
-// NumData returns the number of distinct datum names seen so far.
+// NumData returns the number of datum IDs assigned so far.
 func (g *Graph) NumData() int { return g.data.Len() }
 
-// DatumID interns name and grows the per-datum bookkeeping to cover it.
-// All datum IDs handed to the rest of the stack come from here (or from
-// the workflow layer calling Intern plus its own growth).
-func (g *Graph) DatumID(name string) int32 {
-	id := g.data.Intern(name)
-	for int(id) >= len(g.lastWriter) {
+// Datum interns a named datum and returns its ID (Interner.Intern).
+func (g *Graph) Datum(name string) int32 { return g.data.Intern(name) }
+
+// growData extends the per-datum bookkeeping to every assigned ID. Add
+// calls it when a parameter names an ID beyond the tables, so IDs from
+// Datum, Range and Grid need no per-declaration growth step.
+func (g *Graph) growData() {
+	for len(g.lastWriter) < g.data.Len() {
 		g.lastWriter = append(g.lastWriter, -1)
 		g.versions = append(g.versions, 0)
 	}
-	return id
 }
 
 // allocTask returns a stable pointer to a zeroed Task from the slab arena.
@@ -292,36 +247,40 @@ func (g *Graph) allocIDs(n int) []int32 {
 
 // reserveDeps returns an empty slice with capacity n at the dep slab's
 // tail. The caller fills it (staying within cap) and commits the bytes
-// actually used by advancing g.depArena itself.
+// actually used by advancing g.depArena itself. Slabs double up to
+// maxDepSlab entries, so at most one partly used slab is ever wasted.
 func (g *Graph) reserveDeps(n int) []int {
 	if cap(g.depArena)-len(g.depArena) < n {
-		c := 2 * cap(g.depArena)
-		if c < 256 {
-			c = 256
-		}
-		if c < n {
-			c = n
-		}
-		g.depArena = make([]int, 0, c)
+		c := min(max(2*cap(g.depArena), 256), maxDepSlab)
+		g.depArena = make([]int, 0, max(c, n))
 	}
 	return g.depArena[len(g.depArena) : len(g.depArena) : len(g.depArena)+n]
 }
 
+// maxDepSlab caps a dependency slab at 512 KB.
+const maxDepSlab = 1 << 16
+
 // Add appends a task in generation order, inferring its dependencies from
 // the data parameters, and returns it. Edges always point from lower to
 // higher IDs, so the graph is acyclic by construction and insertion order
-// is a valid topological order. The params slice is copied.
-func (g *Graph) Add(name string, payload any, params ...Param) *Task {
+// is a valid topological order. The params slice is copied. A parameter
+// naming an ID the interner never assigned is a builder bug and panics.
+func (g *Graph) Add(name string, params ...Param) *Task {
 	t := g.allocTask()
 	t.ID = len(g.tasks)
 	t.Name = name
-	t.Payload = payload
 	t.g = g
 	t.Params = g.allocParams(len(params))
 	copy(t.Params, params)
 	t.dataIDs = g.allocIDs(len(params))
-	for i := range params {
-		t.dataIDs[i] = g.DatumID(params[i].Data)
+	for i, p := range params {
+		if uint(p.Data) >= uint(len(g.lastWriter)) {
+			if p.Data < 0 || int(p.Data) >= g.data.Len() {
+				panic(fmt.Sprintf("dag: task %s names unassigned datum ID %d", name, p.Data))
+			}
+			g.growData()
+		}
+		t.dataIDs[i] = p.Data
 	}
 
 	// Dependencies: RAW and WAW both edge on the last writer. Dedup via
@@ -436,10 +395,10 @@ func (g *Graph) Task(id int) *Task { return g.tasks[id] }
 // Tasks returns all tasks in generation order (do not modify the slice).
 func (g *Graph) Tasks() []*Task { return g.tasks }
 
-// Version returns how many times the datum has been written — the vN
-// suffix in the paper's Figure 6 node labels.
-func (g *Graph) Version(data string) int {
-	id, ok := g.data.Lookup(data)
+// Version returns how many times the named datum has been written — the
+// vN suffix in the paper's Figure 6 node labels.
+func (g *Graph) Version(name string) int {
+	id, ok := g.data.Lookup(name)
 	if !ok || int(id) >= len(g.versions) {
 		return 0
 	}

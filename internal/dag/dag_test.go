@@ -9,8 +9,8 @@ import (
 
 func TestRAWDependency(t *testing.T) {
 	g := New()
-	w := g.Add("writer", nil, Param{Data: "x", Dir: Out})
-	r := g.Add("reader", nil, Param{Data: "x", Dir: In})
+	w := g.Add("writer", Param{Data: g.Datum("x"), Dir: Out})
+	r := g.Add("reader", Param{Data: g.Datum("x"), Dir: In})
 	if len(r.Deps()) != 1 || r.Deps()[0] != w.ID {
 		t.Fatalf("reader deps = %v, want [%d]", r.Deps(), w.ID)
 	}
@@ -24,12 +24,12 @@ func TestRAWDependency(t *testing.T) {
 
 func TestWAWDependency(t *testing.T) {
 	g := New()
-	w1 := g.Add("w1", nil, Param{Data: "x", Dir: Out})
-	w2 := g.Add("w2", nil, Param{Data: "x", Dir: Out})
+	w1 := g.Add("w1", Param{Data: g.Datum("x"), Dir: Out})
+	w2 := g.Add("w2", Param{Data: g.Datum("x"), Dir: Out})
 	if len(w2.Deps()) != 1 || w2.Deps()[0] != w1.ID {
 		t.Fatalf("w2 deps = %v, want [%d]", w2.Deps(), w1.ID)
 	}
-	r := g.Add("r", nil, Param{Data: "x", Dir: In})
+	r := g.Add("r", Param{Data: g.Datum("x"), Dir: In})
 	if len(r.Deps()) != 1 || r.Deps()[0] != w2.ID {
 		t.Fatalf("reader depends on %v, want last writer %d", r.Deps(), w2.ID)
 	}
@@ -37,9 +37,9 @@ func TestWAWDependency(t *testing.T) {
 
 func TestIndependentReadersParallel(t *testing.T) {
 	g := New()
-	g.Add("w", nil, Param{Data: "x", Dir: Out})
+	g.Add("w", Param{Data: g.Datum("x"), Dir: Out})
 	for i := 0; i < 4; i++ {
-		g.Add("r", nil, Param{Data: "x", Dir: In})
+		g.Add("r", Param{Data: g.Datum("x"), Dir: In})
 	}
 	if got := g.MaxWidth(); got != 4 {
 		t.Fatalf("width = %d, want 4 (readers are independent)", got)
@@ -52,9 +52,9 @@ func TestIndependentReadersParallel(t *testing.T) {
 func TestInOutChain(t *testing.T) {
 	// INOUT accumulation serializes: a chain, not a fan-out.
 	g := New()
-	g.Add("init", nil, Param{Data: "acc", Dir: Out})
+	g.Add("init", Param{Data: g.Datum("acc"), Dir: Out})
 	for i := 0; i < 5; i++ {
-		g.Add("acc", nil, Param{Data: "acc", Dir: InOut})
+		g.Add("acc", Param{Data: g.Datum("acc"), Dir: InOut})
 	}
 	if got := g.MaxHeight(); got != 6 {
 		t.Fatalf("height = %d, want 6 (serialized chain)", got)
@@ -68,9 +68,9 @@ func TestNoWARDependency(t *testing.T) {
 	// Versioning semantics: a write after a read does NOT depend on the
 	// reader (the reader keeps the old version).
 	g := New()
-	g.Add("w1", nil, Param{Data: "x", Dir: Out})
-	g.Add("r", nil, Param{Data: "x", Dir: In})
-	w2 := g.Add("w2", nil, Param{Data: "x", Dir: Out})
+	g.Add("w1", Param{Data: g.Datum("x"), Dir: Out})
+	g.Add("r", Param{Data: g.Datum("x"), Dir: In})
+	w2 := g.Add("w2", Param{Data: g.Datum("x"), Dir: Out})
 	for _, d := range w2.Deps() {
 		if g.Task(d).Name == "r" {
 			t.Fatal("WAR edge created; versioning should avoid it")
@@ -83,8 +83,8 @@ func TestNoWARDependency(t *testing.T) {
 
 func TestDedupEdges(t *testing.T) {
 	g := New()
-	w := g.Add("w", nil, Param{Data: "a", Dir: Out}, Param{Data: "b", Dir: Out})
-	r := g.Add("r", nil, Param{Data: "a", Dir: In}, Param{Data: "b", Dir: In})
+	w := g.Add("w", Param{Data: g.Datum("a"), Dir: Out}, Param{Data: g.Datum("b"), Dir: Out})
+	r := g.Add("r", Param{Data: g.Datum("a"), Dir: In}, Param{Data: g.Datum("b"), Dir: In})
 	if len(r.Deps()) != 1 {
 		t.Fatalf("deps = %v, want single deduplicated edge", r.Deps())
 	}
@@ -95,10 +95,10 @@ func TestDedupEdges(t *testing.T) {
 
 func TestLevelsPartitionTasks(t *testing.T) {
 	g := New()
-	g.Add("a", nil, Param{Data: "x", Dir: Out})
-	g.Add("b", nil, Param{Data: "x", Dir: In}, Param{Data: "y", Dir: Out})
-	g.Add("c", nil, Param{Data: "x", Dir: In})
-	g.Add("d", nil, Param{Data: "y", Dir: In})
+	g.Add("a", Param{Data: g.Datum("x"), Dir: Out})
+	g.Add("b", Param{Data: g.Datum("x"), Dir: In}, Param{Data: g.Datum("y"), Dir: Out})
+	g.Add("c", Param{Data: g.Datum("x"), Dir: In})
+	g.Add("d", Param{Data: g.Datum("y"), Dir: In})
 	total := 0
 	for _, lvl := range g.Levels() {
 		total += len(lvl)
@@ -113,9 +113,9 @@ func TestLevelsPartitionTasks(t *testing.T) {
 
 func TestCountByName(t *testing.T) {
 	g := New()
-	g.Add("mm", nil, Param{Data: "a", Dir: Out})
-	g.Add("mm", nil, Param{Data: "b", Dir: Out})
-	g.Add("add", nil, Param{Data: "a", Dir: In}, Param{Data: "b", Dir: In}, Param{Data: "c", Dir: Out})
+	g.Add("mm", Param{Data: g.Datum("a"), Dir: Out})
+	g.Add("mm", Param{Data: g.Datum("b"), Dir: Out})
+	g.Add("add", Param{Data: g.Datum("a"), Dir: In}, Param{Data: g.Datum("b"), Dir: In}, Param{Data: g.Datum("c"), Dir: Out})
 	counts := g.CountByName()
 	if counts["mm"] != 2 || counts["add"] != 1 {
 		t.Fatalf("counts = %v", counts)
@@ -124,8 +124,8 @@ func TestCountByName(t *testing.T) {
 
 func TestDOT(t *testing.T) {
 	g := New()
-	g.Add("mm", nil, Param{Data: "a", Dir: Out})
-	g.Add("add", nil, Param{Data: "a", Dir: In})
+	g.Add("mm", Param{Data: g.Datum("a"), Dir: Out})
+	g.Add("add", Param{Data: g.Datum("a"), Dir: In})
 	var b strings.Builder
 	if err := g.DOT(&b, "test"); err != nil {
 		t.Fatal(err)
@@ -140,9 +140,9 @@ func TestDOT(t *testing.T) {
 
 func TestSummary(t *testing.T) {
 	g := New()
-	g.Add("mm", nil, Param{Data: "a", Dir: Out})
-	g.Add("mm", nil, Param{Data: "b", Dir: Out})
-	g.Add("add", nil, Param{Data: "a", Dir: In}, Param{Data: "b", Dir: In})
+	g.Add("mm", Param{Data: g.Datum("a"), Dir: Out})
+	g.Add("mm", Param{Data: g.Datum("b"), Dir: Out})
+	g.Add("add", Param{Data: g.Datum("a"), Dir: In}, Param{Data: g.Datum("b"), Dir: In})
 	s := g.Summary()
 	if !strings.Contains(s, "L0: 2×mm") || !strings.Contains(s, "L1: 1×add") {
 		t.Fatalf("summary = %q", s)
@@ -163,11 +163,11 @@ func TestRandomDAGInvariants(t *testing.T) {
 			params := make([]Param, nparams)
 			for j := range params {
 				params[j] = Param{
-					Data: data[rng.IntN(len(data))],
+					Data: g.Datum(data[rng.IntN(len(data))]),
 					Dir:  Direction(rng.IntN(3)),
 				}
 			}
-			g.Add("t", nil, params...)
+			g.Add("t", params...)
 		}
 		if g.Validate() != nil {
 			return false
@@ -197,7 +197,7 @@ func TestDirectionStrings(t *testing.T) {
 	if In.String() != "IN" || Out.String() != "OUT" || InOut.String() != "INOUT" {
 		t.Fatal("direction stringers broken")
 	}
-	p := Param{Data: "x", Dir: InOut}
+	p := Param{Dir: InOut}
 	if !p.Reads() || !p.Writes() {
 		t.Fatal("INOUT must read and write")
 	}

@@ -62,9 +62,9 @@ func (c *Context) fresh(prefix string) string {
 // workflow. Its blocks are workflow data; using an Array as an operand
 // creates dependencies on the tasks that produced it.
 type Array struct {
-	ctx  *Context
-	part dataset.Partition
-	keys [][]string // keys[r][c] names block (r, c)
+	ctx    *Context
+	part   dataset.Partition
+	blocks dag.Range // blocks.At(r, c) is block (r, c)'s datum ID
 }
 
 // Partition returns the array's grid layout.
@@ -72,24 +72,23 @@ func (a *Array) Partition() dataset.Partition { return a.part }
 
 // Key returns the datum name of block (r, c), e.g. to fetch results from a
 // LocalResult store.
-func (a *Array) Key(r, c int64) string { return a.keys[r][c] }
+func (a *Array) Key(r, c int64) string { return a.ctx.name(a.blocks.At(r, c)) }
 
-// newArray allocates the key grid and declares block sizes.
+func (c *Context) name(id int32) string { return c.wf.Graph.Data().Name(id) }
+
+// newArray reserves the array's blocks as one ID grid, named
+// prefix#n[r,c], and declares their sizes.
 func (c *Context) newArray(part dataset.Partition, prefix string) (*Array, error) {
 	a := &Array{ctx: c, part: part}
-	base := c.fresh(prefix)
+	a.blocks = c.wf.Graph.Data().Grid(c.fresh(prefix), part.GridRows, part.GridCols)
 	for r := int64(0); r < part.GridRows; r++ {
-		row := make([]string, part.GridCols)
 		for col := int64(0); col < part.GridCols; col++ {
 			rows, cols, err := part.BlockShape(r, col)
 			if err != nil {
 				return nil, err
 			}
-			key := fmt.Sprintf("%s[%d,%d]", base, r, col)
-			row[col] = key
-			c.wf.SetSize(key, float64(rows*cols*dataset.ElemSize))
+			c.wf.SetSizeByID(a.blocks.At(r, col), float64(rows*cols*dataset.ElemSize))
 		}
-		a.keys = append(a.keys, row)
 	}
 	return a, nil
 }
@@ -121,7 +120,7 @@ func (c *Context) Random(d dataset.Dataset, k, l int64, gen *dataset.Generator) 
 				}
 				b := dataset.NewBlock(dataset.BlockID{Row: r, Col: col}, rows, cols)
 				gen.Fill(b)
-				c.wf.SetInput(a.keys[r][col], b)
+				c.wf.SetInput(a.Key(r, col), b)
 			}
 		}
 	}
@@ -172,7 +171,7 @@ func (a *Array) Add(b *Array) (*Array, error) {
 			}
 			spec := runtime.TaskSpec{Profile: elementwiseProfile(rows, cols, 2)}
 			if a.ctx.materialize {
-				x, y, o := a.keys[r][col], b.keys[r][col], out.keys[r][col]
+				x, y, o := a.Key(r, col), b.Key(r, col), out.Key(r, col)
 				spec.Exec = func(s *runtime.Store) error {
 					bx, by := s.MustGet(x), s.MustGet(y)
 					bo := dataset.NewBlock(dataset.BlockID{}, bx.Rows, bx.Cols)
@@ -184,9 +183,9 @@ func (a *Array) Add(b *Array) (*Array, error) {
 				}
 			}
 			a.ctx.wf.AddTask("add_func", spec,
-				dag.Param{Data: a.keys[r][col], Dir: dag.In},
-				dag.Param{Data: b.keys[r][col], Dir: dag.In},
-				dag.Param{Data: out.keys[r][col], Dir: dag.Out})
+				dag.Param{Data: a.blocks.At(r, col), Dir: dag.In},
+				dag.Param{Data: b.blocks.At(r, col), Dir: dag.In},
+				dag.Param{Data: out.blocks.At(r, col), Dir: dag.Out})
 		}
 	}
 	return out, nil
@@ -206,7 +205,7 @@ func (a *Array) Scale(f float64) (*Array, error) {
 			}
 			spec := runtime.TaskSpec{Profile: elementwiseProfile(rows, cols, 1)}
 			if a.ctx.materialize {
-				x, o, factor := a.keys[r][col], out.keys[r][col], f
+				x, o, factor := a.Key(r, col), out.Key(r, col), f
 				spec.Exec = func(s *runtime.Store) error {
 					bx := s.MustGet(x)
 					bo := dataset.NewBlock(dataset.BlockID{}, bx.Rows, bx.Cols)
@@ -218,8 +217,8 @@ func (a *Array) Scale(f float64) (*Array, error) {
 				}
 			}
 			a.ctx.wf.AddTask("scale_func", spec,
-				dag.Param{Data: a.keys[r][col], Dir: dag.In},
-				dag.Param{Data: out.keys[r][col], Dir: dag.Out})
+				dag.Param{Data: a.blocks.At(r, col), Dir: dag.In},
+				dag.Param{Data: out.blocks.At(r, col), Dir: dag.Out})
 		}
 	}
 	return out, nil
@@ -246,7 +245,7 @@ func (a *Array) Transpose() (*Array, error) {
 			}
 			spec := runtime.TaskSpec{Profile: elementwiseProfile(rows, cols, 1)}
 			if a.ctx.materialize {
-				src, dst := a.keys[col][r], out.keys[r][col]
+				src, dst := a.Key(col, r), out.Key(r, col)
 				spec.Exec = func(s *runtime.Store) error {
 					bx := s.MustGet(src)
 					bo := dataset.NewBlock(dataset.BlockID{}, bx.Cols, bx.Rows)
@@ -260,8 +259,8 @@ func (a *Array) Transpose() (*Array, error) {
 				}
 			}
 			a.ctx.wf.AddTask("transpose_func", spec,
-				dag.Param{Data: a.keys[col][r], Dir: dag.In},
-				dag.Param{Data: out.keys[r][col], Dir: dag.Out})
+				dag.Param{Data: a.blocks.At(col, r), Dir: dag.In},
+				dag.Param{Data: out.blocks.At(r, col), Dir: dag.Out})
 		}
 	}
 	return out, nil
@@ -288,16 +287,16 @@ func (a *Array) MatMul(b *Array) (*Array, error) {
 	inner := a.part.GridCols
 	for r := int64(0); r < outPart.GridRows; r++ {
 		for col := int64(0); col < outPart.GridCols; col++ {
-			partials := make([]string, 0, inner)
+			partials := make([]int32, 0, inner)
 			for k := int64(0); k < inner; k++ {
-				pKey := out.keys[r][col]
+				p := out.blocks.At(r, col)
 				if inner > 1 {
-					pKey = a.ctx.fresh("p")
+					p = a.ctx.wf.Datum(a.ctx.fresh("p"))
 					rows, cols, err := outPart.BlockShape(r, col)
 					if err != nil {
 						return nil, err
 					}
-					a.ctx.wf.SetSize(pKey, float64(rows*cols*dataset.ElemSize))
+					a.ctx.wf.SetSizeByID(p, float64(rows*cols*dataset.ElemSize))
 				}
 				n := a.part.BlockRows // block order for the profile
 				prof := costmodel.Profile{
@@ -311,7 +310,7 @@ func (a *Array) MatMul(b *Array) (*Array, error) {
 				}
 				spec := runtime.TaskSpec{Profile: prof}
 				if a.ctx.materialize {
-					x, y, o := a.keys[r][k], b.keys[k][col], pKey
+					x, y, o := a.Key(r, k), b.Key(k, col), a.ctx.name(p)
 					spec.Exec = func(s *runtime.Store) error {
 						bx, by := s.MustGet(x), s.MustGet(y)
 						if bx.Cols != by.Rows {
@@ -334,12 +333,12 @@ func (a *Array) MatMul(b *Array) (*Array, error) {
 					}
 				}
 				a.ctx.wf.AddTask("matmul_func", spec,
-					dag.Param{Data: a.keys[r][k], Dir: dag.In},
-					dag.Param{Data: b.keys[k][col], Dir: dag.In},
-					dag.Param{Data: pKey, Dir: dag.Out})
-				partials = append(partials, pKey)
+					dag.Param{Data: a.blocks.At(r, k), Dir: dag.In},
+					dag.Param{Data: b.blocks.At(k, col), Dir: dag.In},
+					dag.Param{Data: p, Dir: dag.Out})
+				partials = append(partials, p)
 			}
-			if err := a.ctx.reduceInto(partials, out.keys[r][col], outPart, r, col); err != nil {
+			if err := a.ctx.reduceInto(partials, out.blocks.At(r, col), outPart, r, col); err != nil {
 				return nil, err
 			}
 		}
@@ -348,7 +347,7 @@ func (a *Array) MatMul(b *Array) (*Array, error) {
 }
 
 // reduceInto emits a binary add_func tree combining partials into dst.
-func (c *Context) reduceInto(partials []string, dst string, part dataset.Partition, r, col int64) error {
+func (c *Context) reduceInto(partials []int32, dst int32, part dataset.Partition, r, col int64) error {
 	if len(partials) <= 1 {
 		return nil // single partial already written to dst
 	}
@@ -357,7 +356,7 @@ func (c *Context) reduceInto(partials []string, dst string, part dataset.Partiti
 		return err
 	}
 	for len(partials) > 1 {
-		var next []string
+		var next []int32
 		for i := 0; i < len(partials); i += 2 {
 			if i+1 == len(partials) {
 				next = append(next, partials[i])
@@ -365,12 +364,12 @@ func (c *Context) reduceInto(partials []string, dst string, part dataset.Partiti
 			}
 			o := dst
 			if len(partials) > 2 {
-				o = c.fresh("s")
-				c.wf.SetSize(o, float64(rows*cols*dataset.ElemSize))
+				o = c.wf.Datum(c.fresh("s"))
+				c.wf.SetSizeByID(o, float64(rows*cols*dataset.ElemSize))
 			}
 			spec := runtime.TaskSpec{Profile: elementwiseProfile(rows, cols, 2)}
 			if c.materialize {
-				x, y, oKey := partials[i], partials[i+1], o
+				x, y, oKey := c.name(partials[i]), c.name(partials[i+1]), c.name(o)
 				spec.Exec = func(s *runtime.Store) error {
 					bx, by := s.MustGet(x), s.MustGet(y)
 					bo := dataset.NewBlock(dataset.BlockID{}, bx.Rows, bx.Cols)
@@ -395,20 +394,20 @@ func (c *Context) reduceInto(partials []string, dst string, part dataset.Partiti
 // Sum reduces the whole array to a scalar (stored under the returned key):
 // one partial-sum task per block, then a serial combine task.
 func (a *Array) Sum() (string, error) {
-	var partials []string
+	var partials []int32
 	for r := int64(0); r < a.part.GridRows; r++ {
 		for col := int64(0); col < a.part.GridCols; col++ {
 			rows, cols, err := a.part.BlockShape(r, col)
 			if err != nil {
 				return "", err
 			}
-			p := a.ctx.fresh("psum")
-			a.ctx.wf.SetSize(p, dataset.ElemSize)
+			p := a.ctx.wf.Datum(a.ctx.fresh("psum"))
+			a.ctx.wf.SetSizeByID(p, dataset.ElemSize)
 			prof := elementwiseProfile(rows, cols, 1)
 			prof.BytesOut = dataset.ElemSize
 			spec := runtime.TaskSpec{Profile: prof}
 			if a.ctx.materialize {
-				x, o := a.keys[r][col], p
+				x, o := a.Key(r, col), a.ctx.name(p)
 				spec.Exec = func(s *runtime.Store) error {
 					bx := s.MustGet(x)
 					bo := dataset.NewBlock(dataset.BlockID{}, 1, 1)
@@ -420,24 +419,28 @@ func (a *Array) Sum() (string, error) {
 				}
 			}
 			a.ctx.wf.AddTask("block_sum", spec,
-				dag.Param{Data: a.keys[r][col], Dir: dag.In},
+				dag.Param{Data: a.blocks.At(r, col), Dir: dag.In},
 				dag.Param{Data: p, Dir: dag.Out})
 			partials = append(partials, p)
 		}
 	}
 	outKey := a.ctx.fresh("total")
-	a.ctx.wf.SetSize(outKey, dataset.ElemSize)
+	out := a.ctx.wf.Datum(outKey)
+	a.ctx.wf.SetSizeByID(out, dataset.ElemSize)
 	params := make([]dag.Param, 0, len(partials)+1)
 	for _, p := range partials {
 		params = append(params, dag.Param{Data: p, Dir: dag.In})
 	}
-	params = append(params, dag.Param{Data: outKey, Dir: dag.Out})
+	params = append(params, dag.Param{Data: out, Dir: dag.Out})
 	spec := runtime.TaskSpec{Profile: costmodel.Profile{
 		Kernel:    costmodel.KernelGeneric,
 		SerialOps: float64(len(partials)) * 50,
 	}}
 	if a.ctx.materialize {
-		ps, o := partials, outKey
+		ps, o := make([]string, len(partials)), outKey
+		for i, p := range partials {
+			ps[i] = a.ctx.name(p)
+		}
 		spec.Exec = func(s *runtime.Store) error {
 			bo := dataset.NewBlock(dataset.BlockID{}, 1, 1)
 			for _, p := range ps {

@@ -92,7 +92,7 @@ func TestWorkflowBoundsDegenerate(t *testing.T) {
 		t.Fatal("empty graph should bound to zero")
 	}
 	g := dag.New()
-	g.Add("t", nil)
+	g.Add("t")
 	if b := BoundsForWorkflow(g, 0, func(*dag.Task) float64 { return 1 }); b.Lower != 0 {
 		t.Fatal("zero slots should bound to zero")
 	}

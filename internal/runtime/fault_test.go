@@ -29,10 +29,10 @@ func twoLevelFan(width int) *Workflow {
 		x, y := fmt.Sprintf("x%d", i), fmt.Sprintf("y%d", i)
 		wf.SetSize(x, 1e4)
 		wf.SetSize(y, 1e4)
-		wf.AddTask("a", TaskSpec{Profile: tinyProf}, dag.Param{Data: x, Dir: dag.Out})
+		wf.AddTask("a", TaskSpec{Profile: tinyProf}, dag.Param{Data: wf.Datum(x), Dir: dag.Out})
 		wf.AddTask("b", TaskSpec{Profile: tinyProf},
-			dag.Param{Data: x, Dir: dag.In},
-			dag.Param{Data: y, Dir: dag.Out})
+			dag.Param{Data: wf.Datum(x), Dir: dag.In},
+			dag.Param{Data: wf.Datum(y), Dir: dag.Out})
 	}
 	return wf
 }
@@ -49,13 +49,13 @@ func gridWorkflow(levels, width int, prof costmodel.Profile) *Workflow {
 		}
 	}
 	for i := 0; i < width; i++ {
-		wf.AddTask("src", TaskSpec{Profile: prof}, dag.Param{Data: name(0, i), Dir: dag.Out})
+		wf.AddTask("src", TaskSpec{Profile: prof}, dag.Param{Data: wf.Datum(name(0, i)), Dir: dag.Out})
 	}
 	for l := 1; l < levels; l++ {
 		for i := 0; i < width; i++ {
 			wf.AddTask("step", TaskSpec{Profile: prof},
-				dag.Param{Data: name(l-1, i), Dir: dag.In},
-				dag.Param{Data: name(l, i), Dir: dag.Out})
+				dag.Param{Data: wf.Datum(name(l-1, i)), Dir: dag.In},
+				dag.Param{Data: wf.Datum(name(l, i)), Dir: dag.Out})
 		}
 	}
 	return wf

@@ -32,8 +32,8 @@ func TestSingleTaskMatchesCostModel(t *testing.T) {
 		wf.SetSize("in", 1e6)
 		wf.SetSize("out", 1e6)
 		wf.AddTask("t", TaskSpec{Profile: prof},
-			dag.Param{Data: "in", Dir: dag.In},
-			dag.Param{Data: "out", Dir: dag.Out})
+			dag.Param{Data: wf.Datum("in"), Dir: dag.In},
+			dag.Param{Data: wf.Datum("out"), Dir: dag.Out})
 		dev := costmodel.CPU
 		if gpuMode {
 			dev = costmodel.GPU

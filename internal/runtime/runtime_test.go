@@ -19,9 +19,9 @@ import (
 func chainWorkflow(n int, prof costmodel.Profile) *Workflow {
 	wf := NewWorkflow("chain")
 	wf.SetSize("x", 1e6)
-	wf.AddTask("init", TaskSpec{Profile: prof}, dag.Param{Data: "x", Dir: dag.Out})
+	wf.AddTask("init", TaskSpec{Profile: prof}, dag.Param{Data: wf.Datum("x"), Dir: dag.Out})
 	for i := 1; i < n; i++ {
-		wf.AddTask("step", TaskSpec{Profile: prof}, dag.Param{Data: "x", Dir: dag.InOut})
+		wf.AddTask("step", TaskSpec{Profile: prof}, dag.Param{Data: wf.Datum("x"), Dir: dag.InOut})
 	}
 	return wf
 }
@@ -35,8 +35,8 @@ func fanWorkflow(n int, prof costmodel.Profile) *Workflow {
 		out := fmt.Sprintf("out%d", i)
 		wf.SetSize(out, 1e6)
 		wf.AddTask("work", TaskSpec{Profile: prof},
-			dag.Param{Data: "in", Dir: dag.In},
-			dag.Param{Data: out, Dir: dag.Out})
+			dag.Param{Data: wf.Datum("in"), Dir: dag.In},
+			dag.Param{Data: wf.Datum(out), Dir: dag.Out})
 	}
 	return wf
 }
@@ -165,7 +165,7 @@ func TestSimStorageArchitectureMatters(t *testing.T) {
 			w.SetSize(in, 100e6)
 			w.SetSize(out, 100e6)
 			w.AddTask("io", TaskSpec{Profile: prof},
-				dag.Param{Data: in, Dir: dag.In}, dag.Param{Data: out, Dir: dag.Out})
+				dag.Param{Data: w.Datum(in), Dir: dag.In}, dag.Param{Data: w.Datum(out), Dir: dag.Out})
 		}
 		return w
 	}
@@ -246,7 +246,7 @@ func TestSimSerialTaskStaysOnCPU(t *testing.T) {
 
 func TestWorkflowValidateMissingSize(t *testing.T) {
 	wf := NewWorkflow("bad")
-	wf.AddTask("t", TaskSpec{}, dag.Param{Data: "unsized", Dir: dag.Out})
+	wf.AddTask("t", TaskSpec{}, dag.Param{Data: wf.Datum("unsized"), Dir: dag.Out})
 	if err := wf.Validate(); err == nil {
 		t.Fatal("missing size not reported")
 	}
@@ -257,8 +257,8 @@ func TestInputKeys(t *testing.T) {
 	wf.SetSize("a", 1)
 	wf.SetSize("b", 1)
 	wf.SetSize("c", 1)
-	wf.AddTask("t1", TaskSpec{}, dag.Param{Data: "a", Dir: dag.In}, dag.Param{Data: "b", Dir: dag.Out})
-	wf.AddTask("t2", TaskSpec{}, dag.Param{Data: "b", Dir: dag.In}, dag.Param{Data: "c", Dir: dag.Out})
+	wf.AddTask("t1", TaskSpec{}, dag.Param{Data: wf.Datum("a"), Dir: dag.In}, dag.Param{Data: wf.Datum("b"), Dir: dag.Out})
+	wf.AddTask("t2", TaskSpec{}, dag.Param{Data: wf.Datum("b"), Dir: dag.In}, dag.Param{Data: wf.Datum("c"), Dir: dag.Out})
 	keys := wf.InputKeys()
 	if len(keys) != 1 || keys[0] != "a" {
 		t.Fatalf("input keys = %v, want [a]", keys)
@@ -279,7 +279,7 @@ func TestRunLocalComputesAndRespectsDeps(t *testing.T) {
 				blk.Set(0, 0, blk.At(0, 0)+1)
 				return nil
 			},
-		}, dag.Param{Data: "x", Dir: dag.InOut})
+		}, dag.Param{Data: wf.Datum("x"), Dir: dag.InOut})
 	}
 	res, err := RunLocal(wf, LocalConfig{Workers: 4})
 	if err != nil {
@@ -306,7 +306,7 @@ func TestRunLocalParallelFan(t *testing.T) {
 				s.Put(key, b)
 				return nil
 			},
-		}, dag.Param{Data: key, Dir: dag.Out})
+		}, dag.Param{Data: wf.Datum(key), Dir: dag.Out})
 	}
 	res, err := RunLocal(wf, LocalConfig{})
 	if err != nil {
@@ -324,10 +324,10 @@ func TestRunLocalErrorPropagates(t *testing.T) {
 	wf.SetSize("x", 1)
 	wf.AddTask("boom", TaskSpec{
 		Exec: func(s *Store) error { return fmt.Errorf("kaput") },
-	}, dag.Param{Data: "x", Dir: dag.Out})
+	}, dag.Param{Data: wf.Datum("x"), Dir: dag.Out})
 	wf.AddTask("never", TaskSpec{
 		Exec: func(s *Store) error { return nil },
-	}, dag.Param{Data: "x", Dir: dag.In})
+	}, dag.Param{Data: wf.Datum("x"), Dir: dag.In})
 	if _, err := RunLocal(wf, LocalConfig{}); err == nil {
 		t.Fatal("error not propagated")
 	}

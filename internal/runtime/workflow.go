@@ -40,14 +40,14 @@ type TaskSpec struct {
 	Exec    ExecFunc
 }
 
-// Workflow is an application expressed as tasks over named data. It wraps
-// the dependency DAG with per-datum sizes (for storage I/O and locality
+// Workflow is an application expressed as tasks over data. It wraps the
+// dependency DAG with per-datum sizes (for storage I/O and locality
 // decisions) and, optionally, materialized input blocks for real execution.
 //
-// Applications speak datum names (strings); the workflow interns every
-// name into the graph's dense int32 datum ID at declaration time and keeps
-// all per-datum state in plain slices indexed by that ID, so the simulated
-// task hot path never touches a string-keyed map.
+// Data are dense int32 IDs from the graph's interner (Datum for a named
+// datum, Graph.Data().Range or Grid for an indexed family); every
+// per-datum table is a plain slice indexed by that ID, so neither the
+// build nor the simulated task hot path touches a string-keyed map.
 type Workflow struct {
 	Name  string
 	Graph *dag.Graph
@@ -59,10 +59,13 @@ type Workflow struct {
 	sizes []float64
 	sized []bool
 
-	// specs holds each task's spec indexed by task ID — stored out of
-	// band instead of boxed into dag.Task.Payload, which would cost one
-	// heap allocation per task.
-	specs []TaskSpec
+	// specs holds the distinct task specs and specOf each task's index
+	// into it: a sim-only spec (no Exec) is stored once however many
+	// tasks share its profile, found again through simSpecs. A spec
+	// carrying an Exec closure is stored per task.
+	specs    []TaskSpec
+	specOf   []int32
+	simSpecs map[costmodel.Profile]int32
 
 	// initial holds materialized input blocks for the local backend.
 	initial map[string]*dataset.Block
@@ -82,10 +85,10 @@ func NewWorkflow(name string) *Workflow {
 // Estimates only need to be close; construction grows past them correctly.
 func (w *Workflow) Hint(tasks, data, params int) {
 	w.Graph.Hint(tasks, data, params)
-	if tasks > cap(w.specs) {
-		s := make([]TaskSpec, len(w.specs), tasks)
-		copy(s, w.specs)
-		w.specs = s
+	if tasks > cap(w.specOf) {
+		s := make([]int32, len(w.specOf), tasks)
+		copy(s, w.specOf)
+		w.specOf = s
 	}
 	if data > cap(w.sizes) {
 		sz := make([]float64, len(w.sizes), data)
@@ -97,25 +100,27 @@ func (w *Workflow) Hint(tasks, data, params int) {
 	}
 }
 
-// datumID interns key and grows the size tables to cover it.
-func (w *Workflow) datumID(key string) int32 {
-	id := w.Graph.DatumID(key)
-	for int(id) >= len(w.sizes) {
-		w.sizes = append(w.sizes, 0)
-		w.sized = append(w.sized, false)
-	}
-	return id
-}
+// Datum interns a named datum and returns its ID (dag.Graph.Datum).
+func (w *Workflow) Datum(name string) int32 { return w.Graph.Datum(name) }
 
-// SetSize declares the serialized size of a datum in bytes. Tasks reading
-// the datum deserialize this volume; tasks writing it serialize it.
-func (w *Workflow) SetSize(key string, bytes float64) {
-	id := w.datumID(key)
+// SetSizeByID declares the serialized size of a datum in bytes. Tasks
+// reading the datum deserialize this volume; tasks writing it serialize
+// it.
+func (w *Workflow) SetSizeByID(id int32, bytes float64) {
+	if n := w.Graph.NumData(); int(id) >= len(w.sizes) && int(id) < n {
+		w.sizes = append(w.sizes, make([]float64, n-len(w.sizes))...)
+		w.sized = append(w.sized, make([]bool, n-len(w.sized))...)
+	}
 	w.sizes[id] = bytes
 	w.sized[id] = true
 }
 
-// Size returns the declared size of a datum (0 if unknown).
+// SetSize is SetSizeByID for a named datum, interning the name.
+func (w *Workflow) SetSize(key string, bytes float64) {
+	w.SetSizeByID(w.Datum(key), bytes)
+}
+
+// Size returns the declared size of a named datum (0 if unknown).
 func (w *Workflow) Size(key string) float64 {
 	id, ok := w.Graph.Data().Lookup(key)
 	if !ok || int(id) >= len(w.sizes) {
@@ -141,31 +146,39 @@ func (w *Workflow) SetInput(key string, b *dataset.Block) {
 }
 
 // AddTask submits a task: the spec plus its data parameters. Dependencies
-// are inferred from parameter directions exactly as in PyCOMPSs.
+// are inferred from parameter directions exactly as in PyCOMPSs. Every
+// task of a workflow is added here, so task IDs index specOf.
 func (w *Workflow) AddTask(name string, spec TaskSpec, params ...dag.Param) *dag.Task {
-	t := w.Graph.Add(name, nil, params...)
-	for len(w.specs) < t.ID { // tolerate tasks added via Graph.Add directly
-		w.specs = append(w.specs, TaskSpec{})
-	}
-	w.specs = append(w.specs, spec)
-	// Size tables must cover every interned datum for SizeByID.
-	for w.Graph.NumData() > len(w.sizes) {
-		w.sizes = append(w.sizes, 0)
-		w.sized = append(w.sized, false)
-	}
+	t := w.Graph.Add(name, params...)
+	w.specOf = append(w.specOf, w.specIndex(spec))
 	return t
+}
+
+// specIndex returns spec's index in w.specs, appending it unless it is a
+// sim-only spec already stored.
+func (w *Workflow) specIndex(spec TaskSpec) int32 {
+	if spec.Exec == nil {
+		if i, ok := w.simSpecs[spec.Profile]; ok {
+			return i
+		}
+	}
+	i := int32(len(w.specs))
+	w.specs = append(w.specs, spec)
+	if spec.Exec == nil {
+		if w.simSpecs == nil {
+			w.simSpecs = make(map[costmodel.Profile]int32)
+		}
+		w.simSpecs[spec.Profile] = i
+	}
+	return i
 }
 
 // Spec returns the TaskSpec attached to a DAG task.
 func (w *Workflow) Spec(t *dag.Task) TaskSpec {
-	if t.ID < len(w.specs) {
-		return w.specs[t.ID]
-	}
-	s, ok := t.Payload.(TaskSpec)
-	if !ok {
+	if t.ID >= len(w.specOf) {
 		return TaskSpec{}
 	}
-	return s
+	return w.specs[w.specOf[t.ID]]
 }
 
 // readBytes sums the serialized sizes of the task's read parameters.

@@ -19,9 +19,9 @@ func randomGraph(seed uint64, n int) (*dag.Graph, []float64) {
 	weights := make([]float64, n)
 	for i := 0; i < n; i++ {
 		params := []dag.Param{
-			{Data: data[rng.IntN(len(data))], Dir: dag.Direction(rng.IntN(3))},
+			{Data: g.Datum(data[rng.IntN(len(data))]), Dir: dag.Direction(rng.IntN(3))},
 		}
-		task := g.Add("t", nil, params...)
+		task := g.Add("t", params...)
 		weights[task.ID] = rng.Float64()*5 + 0.1
 	}
 	return g, weights
@@ -111,9 +111,9 @@ func TestUpwardRanksReduceToBLevels(t *testing.T) {
 // chain: rank(t) = w(t) + comm(t, succ) + rank(succ).
 func TestUpwardRanksCommChain(t *testing.T) {
 	g := dag.New()
-	g.Add("a", nil, dag.Param{Data: "x", Dir: dag.Out})
-	g.Add("b", nil, dag.Param{Data: "x", Dir: dag.In}, dag.Param{Data: "y", Dir: dag.Out})
-	g.Add("c", nil, dag.Param{Data: "y", Dir: dag.In})
+	g.Add("a", dag.Param{Data: g.Datum("x"), Dir: dag.Out})
+	g.Add("b", dag.Param{Data: g.Datum("x"), Dir: dag.In}, dag.Param{Data: g.Datum("y"), Dir: dag.Out})
+	g.Add("c", dag.Param{Data: g.Datum("y"), Dir: dag.In})
 	unit := func(*dag.Task) float64 { return 1 }
 	ranks := UpwardRanks(g, unit, func(from, to *dag.Task) float64 { return 10 })
 	want := []float64{23, 12, 1}

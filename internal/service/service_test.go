@@ -33,8 +33,8 @@ func buildFan(n int) func(int) (*runtime.Workflow, error) {
 			out := fmt.Sprintf("out%d", i)
 			wf.SetSize(out, 1e6)
 			wf.AddTask("work", runtime.TaskSpec{Profile: testProf},
-				dag.Param{Data: "in", Dir: dag.In},
-				dag.Param{Data: out, Dir: dag.Out})
+				dag.Param{Data: wf.Datum("in"), Dir: dag.In},
+				dag.Param{Data: wf.Datum(out), Dir: dag.Out})
 		}
 		return wf, nil
 	}

@@ -14,6 +14,7 @@ package workload
 import (
 	"fmt"
 	"math/rand/v2"
+	"strconv"
 
 	"wfsim/internal/costmodel"
 	"wfsim/internal/dag"
@@ -73,13 +74,15 @@ func Generate(cfg Config) (*runtime.Workflow, error) {
 	}
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x3017))
 	wf := runtime.NewWorkflow(fmt.Sprintf("synthetic-%d", cfg.Seed))
-	wf.SetSize("input", cfg.DataBytes)
+	input := wf.Datum("input")
+	wf.SetSizeByID(input, cfg.DataBytes)
 
-	outName := func(i int) string { return fmt.Sprintf("d%d", i) }
+	outs := make([]int32, cfg.Tasks) // outs[i]: datum "d<i>" task i writes
 	for i := 0; i < cfg.Tasks; i++ {
+		outs[i] = wf.Datum("d" + strconv.Itoa(i))
 		params := []dag.Param{}
 		if i == 0 {
-			params = append(params, dag.Param{Data: "input", Dir: dag.In})
+			params = append(params, dag.Param{Data: input, Dir: dag.In})
 		} else {
 			fanIn := rng.IntN(cfg.MaxFanIn) + 1
 			seen := map[int]bool{}
@@ -97,15 +100,15 @@ func Generate(cfg Config) (*runtime.Workflow, error) {
 				}
 				if !seen[src] {
 					seen[src] = true
-					params = append(params, dag.Param{Data: outName(src), Dir: dag.In})
+					params = append(params, dag.Param{Data: outs[src], Dir: dag.In})
 				}
 			}
 		}
-		params = append(params, dag.Param{Data: outName(i), Dir: dag.Out})
+		params = append(params, dag.Param{Data: outs[i], Dir: dag.Out})
 
 		work := cfg.WorkOps * (0.5 + rng.Float64())
 		bytes := cfg.DataBytes * (0.5 + rng.Float64())
-		wf.SetSize(outName(i), bytes)
+		wf.SetSizeByID(outs[i], bytes)
 		prof := costmodel.Profile{
 			Kernel:         costmodel.KernelGeneric,
 			ParallelOps:    work * cfg.ParallelFraction,

@@ -77,7 +77,8 @@ type (
 	LocalConfig = runtime.LocalConfig
 	// LocalResult carries real-execution results.
 	LocalResult = runtime.LocalResult
-	// Param declares a task's data access (name + direction).
+	// Param declares a task's data access: a datum ID from
+	// Workflow.Datum plus a direction.
 	Param = dag.Param
 	// Profile is a task's analytic cost profile.
 	Profile = costmodel.Profile

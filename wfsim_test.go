@@ -113,9 +113,9 @@ func ExampleNewWorkflow() {
 	wf.SetSize("y", 1e6)
 	prof := wfsim.Profile{SerialOps: 1e5, ParallelOps: 1e8, Threads: 1e5,
 		BytesIn: 1e6, BytesOut: 1e6, DeviceMemBytes: 2e6, HostMemBytes: 2e6}
-	wf.AddTask("make", wfsim.TaskSpec{Profile: prof}, wfsim.Param{Data: "x", Dir: wfsim.Out})
+	wf.AddTask("make", wfsim.TaskSpec{Profile: prof}, wfsim.Param{Data: wf.Datum("x"), Dir: wfsim.Out})
 	wf.AddTask("use", wfsim.TaskSpec{Profile: prof},
-		wfsim.Param{Data: "x", Dir: wfsim.In}, wfsim.Param{Data: "y", Dir: wfsim.Out})
+		wfsim.Param{Data: wf.Datum("x"), Dir: wfsim.In}, wfsim.Param{Data: wf.Datum("y"), Dir: wfsim.Out})
 	fmt.Println("tasks:", wf.Graph.Len(), "height:", wf.Graph.MaxHeight())
 	// Output:
 	// tasks: 2 height: 2

@@ -29,9 +29,9 @@ func simAllocs(t *testing.T, iterations int, cfg wfsim.SimConfig) float64 {
 // TestSimAllocBudget is the hot-path allocation-regression guard: it
 // measures the marginal allocations per simulated task — the difference
 // between a deep and a shallow run of the same workflow shape, so
-// fixed per-run costs (cluster construction, collector buffer, coroutine
-// warm-up) cancel out — and fails if the hot path regresses past a small
-// fixed budget.
+// fixed per-run costs (cluster construction, collector buffer, the
+// lifecycle pool's warm-up) cancel out — and fails if the hot path
+// regresses past a small fixed budget.
 //
 // Measured at 0.20 allocations per task (64 blocks), and none of them is
 // per task: about 4 per Lloyd iteration come from the build (the next
@@ -73,8 +73,8 @@ func TestSimAllocBudget(t *testing.T) {
 	}
 	for _, c := range configs {
 		t.Run(c.name, func(t *testing.T) {
-			// Warm the engine's global coroutine pool and the allocator so
-			// both measured runs see identical steady-state conditions.
+			// Warm the allocator so both measured runs see identical
+			// steady-state conditions.
 			simAllocs(t, deepIters, c.cfg)
 
 			shallow := simAllocs(t, shallowIters, c.cfg)

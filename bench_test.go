@@ -190,21 +190,70 @@ func BenchmarkSimEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkSimHandoff measures the cost of one park/resume cycle: a process
-// blocking on Wait hands the baton off and takes it back — the dominant
-// operation of every simulated task (queueing, I/O, compute stages are all
-// Waits). Steady state should allocate nothing.
+// waiter is a benchmark lifecycle: a continuation that waits d seconds,
+// left times over.
+type waiter struct {
+	c    sim.Cont
+	left int
+	d    float64
+}
+
+func (w *waiter) step() {
+	for w.left > 0 {
+		w.left--
+		if !w.c.Wait(w.d) {
+			return
+		}
+	}
+}
+
+// BenchmarkSimHandoff measures the cost of one park/resume cycle: two
+// lifecycles interleave their Waits, so each wait ties with the other's
+// pending resume and goes through the queue instead of advancing the clock
+// in place — the dominant operation of every simulated task (queueing, I/O
+// and compute stages all wait). Steady state should allocate nothing.
 func BenchmarkSimHandoff(b *testing.B) {
 	b.ReportAllocs()
+	var ws [2]waiter
 	for i := 0; i < b.N; i++ {
 		e := sim.New()
-		e.Go("h", func(p *sim.Proc) {
-			for j := 0; j < 1000; j++ {
-				p.Wait(1e-6)
-			}
-		})
+		for k := range ws {
+			w := &ws[k]
+			w.left, w.d = 1000, 1e-6
+			e.Bind(&w.c, w.step)
+			w.c.Start(0)
+		}
 		if err := e.Run(); err != nil {
 			b.Fatal(err)
+		}
+		if st := e.Stats(); st.InPlaceWaits != 0 {
+			b.Fatalf("%d of 2000 waits advanced in place; the benchmark must hand off every one", st.InPlaceWaits)
+		}
+	}
+}
+
+// churner is a benchmark lifecycle: after a start delay it moves 125
+// transfers of growing size over one link, back to back.
+type churner struct {
+	c       sim.Cont
+	l       *sim.Link
+	delay   float64
+	started bool
+	j       int
+}
+
+func (t *churner) step() {
+	if !t.started {
+		t.started = true
+		if !t.c.Wait(t.delay) {
+			return
+		}
+	}
+	for t.j < 125 {
+		bytes := 1000 + float64(t.j)
+		t.j++
+		if !t.l.Transfer(&t.c, bytes) {
+			return
 		}
 	}
 }
@@ -214,17 +263,16 @@ func BenchmarkSimHandoff(b *testing.B) {
 // rate recomputation per change, the hot path of the storage/PCIe model.
 func BenchmarkSimLinkChurn(b *testing.B) {
 	b.ReportAllocs()
+	var ts [8]churner
 	for i := 0; i < b.N; i++ {
 		e := sim.New()
 		l := sim.NewLink(e, "net", 1e6, 0)
-		for w := 0; w < 8; w++ {
-			w := w
-			e.Go("t", func(p *sim.Proc) {
-				p.Wait(float64(w) * 1e-4) // staggered: constant join/leave churn
-				for j := 0; j < 125; j++ {
-					l.Transfer(p, 1000+float64(j))
-				}
-			})
+		for w := range ts {
+			t := &ts[w]
+			// Staggered starts: constant join/leave churn.
+			*t = churner{l: l, delay: float64(w) * 1e-4}
+			e.Bind(&t.c, t.step)
+			t.c.Start(0)
 		}
 		if err := e.Run(); err != nil {
 			b.Fatal(err)
@@ -232,22 +280,53 @@ func BenchmarkSimLinkChurn(b *testing.B) {
 	}
 }
 
+// contender is a benchmark lifecycle: it acquires a server slot, holds it
+// for a fixed time and releases it, left times over.
+type contender struct {
+	c     sim.Cont
+	srv   *sim.Server
+	left  int
+	state uint8 // 0: acquire, 1: slot held, 2: hold elapsed
+}
+
+func (t *contender) step() {
+	for {
+		switch t.state {
+		case 0:
+			if t.left == 0 {
+				return
+			}
+			t.left--
+			t.state = 1
+			if !t.srv.Acquire(&t.c) {
+				return
+			}
+		case 1:
+			t.state = 2
+			if !t.c.Wait(1e-5) {
+				return
+			}
+		case 2:
+			t.srv.Release()
+			t.state = 0
+		}
+	}
+}
+
 // BenchmarkSimServerContention measures FIFO queue pressure: many more
-// processes than slots, so nearly every Acquire queues and every Release
+// lifecycles than slots, so nearly every Acquire queues and every Release
 // performs a direct handoff to the head waiter.
 func BenchmarkSimServerContention(b *testing.B) {
 	b.ReportAllocs()
+	var ts [32]contender
 	for i := 0; i < b.N; i++ {
 		e := sim.New()
 		srv := sim.NewServer(e, "cpu", 4)
-		for w := 0; w < 32; w++ {
-			e.Go("t", func(p *sim.Proc) {
-				for j := 0; j < 32; j++ {
-					srv.Acquire(p)
-					p.Wait(1e-5)
-					srv.Release()
-				}
-			})
+		for w := range ts {
+			t := &ts[w]
+			*t = contender{srv: srv, left: 32}
+			e.Bind(&t.c, t.step)
+			t.c.Start(0)
 		}
 		if err := e.Run(); err != nil {
 			b.Fatal(err)
@@ -277,7 +356,11 @@ func BenchmarkSimWorkflow(b *testing.B) {
 // (102,500 tasks) under the pricier locality policy on node-local storage,
 // where every placement decision scores per-datum residency. Before
 // interning, string-keyed location maps made this configuration
-// allocation-bound; with dense IDs it is a routine benchmark.
+// allocation-bound; with dense IDs it is a routine benchmark. With task
+// lifecycles driven as engine continuations it measured about 0.54 s/op
+// and 3.9 K allocs/op, down from about 1.05 s/op and 14.4 K allocs/op on
+// coroutine processes (2-vCPU Xeon VM, Go 1.24, -cpu 2, -benchtime 1x,
+// three alternating runs each).
 func BenchmarkSimWorkflowLarge(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -310,11 +393,13 @@ func BenchmarkSimWorkflowLarge(b *testing.B) {
 // across iterations. Pending events peak at 4,096 on this run, so the
 // engine's 4-ary heap stays seven levels deep even at this scale.
 //
-// The DAG build is ID-first (DESIGN.md §9, §12): one -benchtime 1x
-// iteration measured 387 MB/op and 32 K allocs/op, down from 659 MB/op and
-// 1.06 M allocs/op when every partial sum was a name string, a map entry
-// and a TaskSpec copy (2-vCPU Xeon VM, Go 1.24, -cpu 2; about 10 s/op on
-// both sides).
+// The DAG build is ID-first (DESIGN.md §9, §12) and every task lifecycle
+// is an engine-driven continuation rather than a coroutine: one
+// -benchtime 1x iteration measured about 5.1 s/op, 369 MB/op and 9.4 K
+// allocs/op, against about 9.4 s/op, 386 MB/op and 19.9 K allocs/op with
+// coroutine processes (2-vCPU Xeon VM, Go 1.24, -cpu 2, three alternating
+// runs each). The engine dispatches 37,324,398 events on this run, and
+// 1,013,108 waits advance the clock in place.
 func BenchmarkSimWorkflowHuge(b *testing.B) {
 	b.ReportAllocs()
 	var arena wfsim.Arena

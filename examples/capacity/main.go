@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -39,7 +40,7 @@ func main() {
 		}{{wfsim.SimConfig{Device: wfsim.CPU}}, {wfsim.SimConfig{Device: wfsim.GPU}}} {
 			for _, sto := range []storage.Architecture{storage.Shared, storage.Local} {
 				for _, pol := range []sched.Policy{sched.FIFO, sched.Locality} {
-					cell, err := experiments.RunCell(experiments.CellConfig{
+					cell, err := experiments.RunCell(context.Background(), experiments.CellConfig{
 						Algorithm: experiments.KMeans,
 						Dataset:   ds,
 						Grid:      grid,

@@ -194,9 +194,10 @@ func scratchOf(ctx context.Context) *cellScratch {
 
 // RunCell executes one factor combination on the simulator and aggregates
 // the paper's metrics. OOM configurations return a Cell with OOM set
-// rather than an error, mirroring the figures' annotations.
-func RunCell(cfg CellConfig) (Cell, error) {
-	return runCell(cfg, &cellScratch{agg: metrics.NewAggregates()})
+// rather than an error, mirroring the figures' annotations. Called from a
+// runner trial, it reuses the executing worker's scratch (see scratchOf).
+func RunCell(ctx context.Context, cfg CellConfig) (Cell, error) {
+	return runCell(cfg, scratchOf(ctx))
 }
 
 // runCell is RunCell with caller-provided scratch. Records stream into
@@ -320,12 +321,12 @@ func CellKey(cfg CellConfig) string {
 // cells — the head-to-head comparison every speedup chart needs.
 func RunPair(cfg CellConfig) (cpu, gpu Cell, err error) {
 	cfg.Device = costmodel.CPU
-	cpu, err = RunCell(cfg)
+	cpu, err = RunCell(context.Background(), cfg)
 	if err != nil {
 		return
 	}
 	cfg.Device = costmodel.GPU
-	gpu, err = RunCell(cfg)
+	gpu, err = RunCell(context.Background(), cfg)
 	return
 }
 
@@ -333,10 +334,7 @@ func RunPair(cfg CellConfig) (cpu, gpu Cell, err error) {
 // returning cells in configuration order. Identical configurations are
 // simulated once and shared (CellKey memoization).
 func RunCells(ctx context.Context, eng *runner.Engine, label string, cfgs []CellConfig) ([]Cell, error) {
-	return runner.Map(ctx, eng, label, cfgs, CellKey,
-		func(ctx context.Context, cfg CellConfig) (Cell, error) {
-			return runCell(cfg, scratchOf(ctx))
-		})
+	return runner.Map(ctx, eng, label, cfgs, CellKey, RunCell)
 }
 
 // Pair is a CPU/GPU cell pair for one factor combination.

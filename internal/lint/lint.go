@@ -12,7 +12,7 @@
 //	hotalloc     heap allocation in the steady-state simulate path
 //	maporder     map iteration with order-sensitive effects
 //	seedrand     global math/rand state or entropy-seeded generators
-//	simblock     real blocking inside simulated process bodies
+//	simblock     real blocking inside engine callbacks
 //	walltime     wall-clock time outside the annotated real-time layer
 //
 // walltime and seedrand are interprocedural: besides their per-package
@@ -22,12 +22,12 @@
 // point where simulation code consumes it. hotalloc and simblock are
 // purely module-scoped: they compute reachability from steady-state
 // roots (the event loop, dispatch path, scheduler entry points) and
-// from Engine.Go process-body arguments respectively.
+// from the callbacks handed to Engine.Bind/Schedule respectively.
 //
 // Suppression: `//wfsimlint:allow <rule>[,<rule>...]` on or directly
 // above the flagged line; `//wfsimlint:wallclock` tags a whole file as
 // part of the real-time layer (walltime only); `//wfsimlint:hotpath` and
-// `//wfsimlint:procbody` doc-comment tags add analysis roots. Findings
+// `//wfsimlint:callback` doc-comment tags add analysis roots. Findings
 // recorded in the committed baseline (lint.baseline at the module root)
 // print but do not fail the build. DESIGN.md's "Determinism invariants"
 // section documents each rule's rationale.

@@ -8,56 +8,55 @@ import (
 	"wfsim/internal/lint/analysis"
 )
 
-// SimBlock forbids real concurrency and real blocking inside simulated
-// process bodies. The DES engine runs every process as a single-threaded
-// coroutine (iter.Pull): a process body that performs a raw channel
+// SimBlock forbids real concurrency and real blocking inside engine
+// callbacks. The DES engine runs every event callback inline on the one
+// goroutine driving Engine.Run: a callback that performs a raw channel
 // operation, takes a sync lock, sleeps on the host clock, or does I/O
-// does not "run concurrently" — it blocks the one OS thread driving the
-// entire simulation, deadlocking or stalling every other virtual
-// process. Inside a process body the only legitimate ways to wait are
-// the engine's primitives (Proc.Wait, Resource.Acquire, channel-free
-// event sequencing on virtual time).
+// does not "run concurrently" — it blocks the thread the entire simulation
+// runs on, deadlocking or stalling every simulated activity. Inside a
+// callback the only legitimate ways to wait are the engine's primitives
+// (Cont.Wait, Server.Acquire, Link.Transfer), which park a continuation on
+// virtual time.
 //
-// Roots are discovered, not declared: every call to Go/GoAfter on a
-// value of a type named Engine marks its final argument — a function
-// literal, a named function, a method value, or a variable/field traced
-// to the function assigned into it (the bound-once taskProcFn pattern)
-// — as a process body. Everything reachable from a process body over
-// static calls (plus enclosed function literals) is checked. Additional
-// bodies can be declared with a //wfsimlint:procbody doc-comment
-// annotation.
+// Roots are discovered, not declared: every call to Bind or Schedule on a
+// value of a type named Engine marks its final argument — a continuation's
+// step function or a scheduled callback, given as a function literal, a
+// named function, a method value, or a variable/field traced to the
+// function assigned into it (the bound-once stepFn pattern) — as a
+// callback. Everything reachable from a callback over static calls (plus
+// enclosed function literals) is checked. Additional callbacks can be
+// declared with a //wfsimlint:callback doc-comment annotation.
 //
-// The package that defines the Engine itself is exempt: the coroutine
-// substrate legitimately manipulates the machinery (iter.Pull, pool
-// locks) that process bodies must never touch. Test files are exempt as
-// usual, and a deliberate exception can be annotated
+// The package that defines the Engine itself is exempt: the substrate
+// legitimately owns the machinery callbacks must never touch. Test files
+// are exempt as usual, and a deliberate exception can be annotated
 // //wfsimlint:allow simblock.
 var SimBlock = &analysis.Analyzer{
 	Name:      "simblock",
-	Doc:       "forbids raw channel ops, sync primitives, host sleeps, and I/O inside simulated process bodies reachable from Engine.Go",
+	Doc:       "forbids raw channel ops, sync primitives, host sleeps, and I/O inside engine callbacks reachable from Engine.Bind/Schedule",
 	RunModule: runSimBlock,
 }
 
 func runSimBlock(pass *analysis.ModulePass) error {
 	assigned := assignedFuncs(pass)
-	roots, exempt := procBodyRoots(pass, assigned)
+	roots, exempt := callbackRoots(pass, assigned)
 	checked := analysis.Reachable(roots)
 	for _, n := range pass.Graph.Nodes {
 		if !checked[n] || exempt[n.Pkg] || pass.IsTestFile(n.Pos()) {
 			continue
 		}
-		checkProcBody(pass, n)
+		checkCallback(pass, n)
 	}
 	return nil
 }
 
-// procBodyRoots finds process-body functions (final arguments of
-// Engine.Go/GoAfter calls, plus //wfsimlint:procbody annotations) and
-// the set of Engine-defining packages, which are exempt substrate.
-func procBodyRoots(pass *analysis.ModulePass, assigned map[string][]*analysis.FuncNode) (roots []*analysis.FuncNode, exempt map[*analysis.ModulePackage]bool) {
+// callbackRoots finds engine callbacks (final arguments of Engine.Bind and
+// Engine.Schedule calls, plus //wfsimlint:callback annotations) and the set
+// of Engine-defining packages, which are exempt substrate.
+func callbackRoots(pass *analysis.ModulePass, assigned map[string][]*analysis.FuncNode) (roots []*analysis.FuncNode, exempt map[*analysis.ModulePackage]bool) {
 	exempt = make(map[*analysis.ModulePackage]bool)
 	for _, n := range pass.Graph.Nodes {
-		if n.Decl != nil && analysis.FuncAnnotation(n.Decl, "procbody") {
+		if n.Decl != nil && analysis.FuncAnnotation(n.Decl, "callback") {
 			roots = append(roots, n)
 		}
 		info := n.Pkg.Info
@@ -67,14 +66,14 @@ func procBodyRoots(pass *analysis.ModulePass, assigned map[string][]*analysis.Fu
 				return
 			}
 			fn := analysis.StaticCallee(info, call)
-			if fn == nil || (fn.Name() != "Go" && fn.Name() != "GoAfter") {
+			if fn == nil || (fn.Name() != "Bind" && fn.Name() != "Schedule") {
 				return
 			}
 			recv := fn.Type().(*types.Signature).Recv()
 			if recv == nil || namedTypeName(recv.Type()) != "Engine" {
 				return
 			}
-			// The spawning package is a client; the Engine's own package
+			// The calling package is a client; the Engine's own package
 			// is substrate.
 			if enginePkg := pass.Graph.NodeOf(fn); enginePkg != nil {
 				exempt[enginePkg.Pkg] = true
@@ -103,8 +102,8 @@ func namedTypeName(t types.Type) string {
 // assigned into it anywhere in the module. This is what lets the rule
 // see through the bound-once pattern:
 //
-//	r.taskProcFn = r.taskProc   // setup
-//	eng.GoAfter("task", d, r.taskProcFn)
+//	a.stepFn = a.step           // setup
+//	eng.Bind(&a.cont, a.stepFn)
 func assignedFuncs(pass *analysis.ModulePass) map[string][]*analysis.FuncNode {
 	assigned := make(map[string][]*analysis.FuncNode)
 	record := func(info *types.Info, lhs, rhs ast.Expr) {
@@ -204,7 +203,7 @@ func directFuncExpr(pass *analysis.ModulePass, info *types.Info, expr ast.Expr) 
 	return nil
 }
 
-// resolveFuncExpr resolves a Go/GoAfter body argument: directly, or —
+// resolveFuncExpr resolves a Bind/Schedule callback argument: directly, or —
 // for a variable or field — through every function assigned into it.
 func resolveFuncExpr(pass *analysis.ModulePass, info *types.Info, expr ast.Expr, assigned map[string][]*analysis.FuncNode) []*analysis.FuncNode {
 	if fns := directFuncExpr(pass, info, expr); len(fns) > 0 {
@@ -216,41 +215,41 @@ func resolveFuncExpr(pass *analysis.ModulePass, info *types.Info, expr ast.Expr,
 	return nil
 }
 
-// checkProcBody flags blocking constructs inside one checked function.
-func checkProcBody(pass *analysis.ModulePass, n *analysis.FuncNode) {
+// checkCallback flags blocking constructs inside one checked function.
+func checkCallback(pass *analysis.ModulePass, n *analysis.FuncNode) {
 	info := n.Pkg.Info
 	analysis.InspectOwn(n, func(nd ast.Node) {
 		switch nd := nd.(type) {
 		case *ast.SendStmt:
-			pass.Reportf(nd.Arrow, "channel send inside a simulated process body blocks the engine's single coroutine thread; sequence on virtual time with the engine's primitives instead")
+			pass.Reportf(nd.Arrow, "channel send inside an engine callback blocks the engine's single dispatch thread; sequence on virtual time with the engine's primitives instead")
 		case *ast.UnaryExpr:
 			if nd.Op == token.ARROW {
-				pass.Reportf(nd.OpPos, "channel receive inside a simulated process body blocks the engine's single coroutine thread; wait on virtual time with the engine's primitives instead")
+				pass.Reportf(nd.OpPos, "channel receive inside an engine callback blocks the engine's single dispatch thread; wait on virtual time with the engine's primitives instead")
 			}
 		case *ast.SelectStmt:
-			pass.Reportf(nd.Select, "select inside a simulated process body blocks the engine's single coroutine thread; processes wait via the engine, not via channels")
+			pass.Reportf(nd.Select, "select inside an engine callback blocks the engine's single dispatch thread; simulated activities wait via the engine, not via channels")
 		case *ast.RangeStmt:
 			if _, ok := info.TypeOf(nd.X).Underlying().(*types.Chan); ok {
-				pass.Reportf(nd.For, "ranging over a channel inside a simulated process body blocks the engine's single coroutine thread")
+				pass.Reportf(nd.For, "ranging over a channel inside an engine callback blocks the engine's single dispatch thread")
 			}
 		case *ast.GoStmt:
-			pass.Reportf(nd.Go, "go statement inside a simulated process body spawns a real goroutine outside the engine's control; start simulated work with Engine.Go")
+			pass.Reportf(nd.Go, "go statement inside an engine callback spawns a real goroutine outside the engine's control; start simulated work with a continuation (Engine.Bind, Cont.Start)")
 		case *ast.CallExpr:
-			checkProcCall(pass, info, nd)
+			checkCallbackCall(pass, info, nd)
 		}
 	})
 }
 
-func checkProcCall(pass *analysis.ModulePass, info *types.Info, call *ast.CallExpr) {
+func checkCallbackCall(pass *analysis.ModulePass, info *types.Info, call *ast.CallExpr) {
 	// Package-level calls: host sleeps and I/O.
 	if path, name, ok := pkgFunc(info, call); ok {
 		switch {
 		case path == "time" && (name == "Sleep" || name == "After" || name == "Tick" || name == "NewTimer" || name == "NewTicker" || name == "AfterFunc"):
-			pass.Reportf(call.Pos(), "time.%s inside a simulated process body waits on the host clock, stalling the whole simulation; use p.Wait (virtual seconds) instead", name)
+			pass.Reportf(call.Pos(), "time.%s inside an engine callback waits on the host clock, stalling the whole simulation; use Cont.Wait (virtual seconds) instead", name)
 		case path == "os" || path == "net" || path == "net/http" || path == "io" || path == "bufio":
-			pass.Reportf(call.Pos(), "%s.%s performs real I/O inside a simulated process body; process bodies must stay pure compute over engine state", pkgBase(path), name)
+			pass.Reportf(call.Pos(), "%s.%s performs real I/O inside an engine callback; callbacks must stay pure compute over engine state", pkgBase(path), name)
 		case path == "fmt" && (name == "Print" || name == "Printf" || name == "Println" || name == "Fprint" || name == "Fprintf" || name == "Fprintln"):
-			pass.Reportf(call.Pos(), "fmt.%s writes to a real stream inside a simulated process body; collect results in engine state and report after Run returns", name)
+			pass.Reportf(call.Pos(), "fmt.%s writes to a real stream inside an engine callback; collect results in engine state and report after Run returns", name)
 		}
 		return
 	}
@@ -269,7 +268,7 @@ func checkProcCall(pass *analysis.ModulePass, info *types.Info, call *ast.CallEx
 	}
 	switch fn.Name() {
 	case "Lock", "RLock", "Wait":
-		pass.Reportf(call.Pos(), "sync %s.%s inside a simulated process body can block the engine's single coroutine thread; simulated processes are already mutually exclusive — drop the lock or move the contention into engine state", namedTypeName(s.Recv()), fn.Name())
+		pass.Reportf(call.Pos(), "sync %s.%s inside an engine callback can block the engine's single dispatch thread; callbacks are already mutually exclusive — drop the lock or move the contention into engine state", namedTypeName(s.Recv()), fn.Name())
 	}
 }
 

@@ -27,8 +27,8 @@ func TestHotAlloc(t *testing.T) {
 }
 
 // TestSimBlock loads the substrate (Engine) fixture and the client
-// fixture as one module: process-body discovery crosses the package
-// boundary, and the substrate package itself must come back exempt.
+// fixture as one module: callback discovery crosses the package boundary,
+// and the substrate package itself must come back exempt.
 func TestSimBlock(t *testing.T) {
 	analysistest.RunModule(t, "testdata", SimBlock, "simblockeng", "simblock")
 }

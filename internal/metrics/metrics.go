@@ -167,7 +167,10 @@ func (c *Collector) decode(r crec) Record {
 // run whose record count is known up front (tasks × stages) appends without
 // reallocating mid-simulation.
 func (c *Collector) Grow(n int) {
-	c.mu.Lock()
+	// A simulated run grows its own collector before any other goroutine
+	// can see it, so the lock is uncontended when an arrival event calls
+	// this from engine context.
+	c.mu.Lock() //wfsimlint:allow simblock
 	defer c.mu.Unlock()
 	if free := cap(c.recs) - len(c.recs); free < n {
 		grown := make([]crec, len(c.recs), len(c.recs)+n)

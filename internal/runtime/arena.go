@@ -6,10 +6,11 @@ import (
 )
 
 // Arena recycles a simulated run's substrate allocations across trials:
-// the engine's event-node slabs, heap and ring storage and proc
-// bookkeeping (sim.Arena), the per-task dependency counters, and the
-// ready-queue input-location slab. A sweep worker that owns an Arena pays
-// these allocations on its first trial only.
+// the engine's event-node slabs, heap and ring storage (sim.Arena), the
+// pooled task lifecycles (attempts), the per-task dependency counters, and
+// the ready-queue input-location slab.
+// A sweep worker that owns an Arena pays these allocations on its first
+// trial only.
 //
 // An Arena may serve one run at a time — sharing one across concurrent
 // RunSim calls is a data race. internal/runner hands each worker its own
@@ -18,6 +19,7 @@ import (
 // reuse; see DESIGN.md §12 for the full lifetime rules.
 type Arena struct {
 	nodes     sim.Arena
+	attempts  []*attempt
 	remaining []int
 	inputs    []sched.DataLoc
 	load      []int
@@ -44,4 +46,25 @@ func (a *Arena) grabLoad(n int) []int {
 	s := a.load[:n]
 	clear(s)
 	return s
+}
+
+// adoptAttempts hands the arena's pooled attempts to run r, re-bound to its
+// engine.
+func (a *Arena) adoptAttempts(r *simRun) []*attempt {
+	pool := a.attempts
+	a.attempts = nil
+	for _, at := range pool {
+		at.r = r
+		r.eng.Bind(&at.cont, at.stepFn)
+	}
+	return pool
+}
+
+// keepAttempts takes a finished run's pooled attempts for the next trial,
+// dropping their reference to the run.
+func (a *Arena) keepAttempts(pool []*attempt) {
+	for _, at := range pool {
+		at.r = nil
+	}
+	a.attempts = pool
 }

@@ -151,45 +151,53 @@ type SimResult struct {
 // OOM" annotations in the paper's figures — without running the workflow,
 // matching how an OOM aborts the paper's real executions.
 func RunSim(wf *Workflow, cfg SimConfig) (*SimResult, error) {
+	res, _, err := RunSimStats(wf, cfg)
+	return res, err
+}
+
+// RunSimStats is RunSim, also reporting the engine's deterministic activity
+// counters (events dispatched, in-place waits, peak pending events): the
+// event sequence's fingerprint, for tests and profiling.
+func RunSimStats(wf *Workflow, cfg SimConfig) (*SimResult, sim.Stats, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, sim.Stats{}, err
 	}
 	cfg = cfg.withDefaults()
 	if err := wf.Validate(); err != nil {
-		return nil, err
+		return nil, sim.Stats{}, err
 	}
 	if cfg.NodeSpeed != nil && len(cfg.NodeSpeed) != cfg.Cluster.Nodes {
-		return nil, fmt.Errorf("runtime: NodeSpeed has %d entries for %d nodes",
+		return nil, sim.Stats{}, fmt.Errorf("runtime: NodeSpeed has %d entries for %d nodes",
 			len(cfg.NodeSpeed), cfg.Cluster.Nodes)
 	}
 	if err := cfg.Params.Validate(); err != nil {
-		return nil, fmt.Errorf("runtime: %w", err)
+		return nil, sim.Stats{}, fmt.Errorf("runtime: %w", err)
 	}
 	fcfg := cfg.Faults.WithDefaults()
 	if fcfg.Enabled() {
 		if err := fcfg.Validate(); err != nil {
-			return nil, fmt.Errorf("runtime: %w", err)
+			return nil, sim.Stats{}, fmt.Errorf("runtime: %w", err)
 		}
 	}
 	if err := preflightMemory(wf, cfg); err != nil {
-		return nil, err
+		return nil, sim.Stats{}, err
 	}
 
 	run, err := newSimRun(cfg, wf.Graph.NumData())
 	if err != nil {
-		return nil, err
+		return nil, sim.Stats{}, err
 	}
 	ranks, costs := rankTables(wf, &cfg)
 	s := run.addSession(wf, 0, ranks, costs, nil)
 
 	if err := run.eng.Run(); err != nil {
-		return nil, fmt.Errorf("runtime: simulation failed: %w", err)
+		return nil, sim.Stats{}, fmt.Errorf("runtime: simulation failed: %w", err)
 	}
 	if run.failErr != nil {
-		return nil, run.failErr
+		return nil, sim.Stats{}, run.failErr
 	}
 	if s.done != wf.Graph.Len() {
-		return nil, fmt.Errorf("runtime: %d of %d tasks completed", s.done, wf.Graph.Len())
+		return nil, sim.Stats{}, fmt.Errorf("runtime: %d of %d tasks completed", s.done, wf.Graph.Len())
 	}
 
 	res := &SimResult{
@@ -206,8 +214,9 @@ func RunSim(wf *Workflow, cfg SimConfig) (*SimResult, error) {
 		// The engine is drained; donate its substrate storage back for
 		// the caller's next trial.
 		run.eng.Release(&a.nodes)
+		a.keepAttempts(run.freeAttempts)
 	}
-	return res, nil
+	return res, run.eng.Stats(), nil
 }
 
 // preflightMemory checks every task's footprint at its assigned device
@@ -331,14 +340,16 @@ type simRun struct {
 	store     storage.System
 	scheduler sched.Scheduler
 
-	queue      sched.Queue
-	granted    sched.Queue     // refs popped at grant instants, consumed in grant order
-	view       sched.View      // reused across every placement decision
-	taskProcFn func(*sim.Proc) // bound once; a per-enqueue method value would allocate
-	requestFn  func()          // bound once: Master.Request
-	load       []int           // outstanding tasks per node
-	slots      [][]uint64      // per-node free-core bitmap (bit set = free)
-	inputSlab  []sched.DataLoc
+	queue     sched.Queue
+	view      sched.View // reused across every placement decision
+	requestFn func()     // bound once: Master.Request
+	load      []int      // outstanding tasks per node
+	slots     [][]uint64 // per-node free-core bitmap (bit set = free)
+	inputSlab []sched.DataLoc
+
+	// freeAttempts pools finished task lifecycles for the next grant; it
+	// grows to the run's peak number of tasks in flight.
+	freeAttempts []*attempt
 
 	sessions       []*session
 	active         int   // sessions submitted and not yet finished
@@ -387,15 +398,15 @@ func newSimRun(cfg SimConfig, numDataHint int) (*simRun, error) {
 	if a := cfg.Arena; a != nil {
 		r.load = a.grabLoad(cfg.Cluster.Nodes)
 		r.inputSlab = a.inputs[:0]
+		r.freeAttempts = a.adoptAttempts(r)
 	} else {
 		r.load = make([]int, cfg.Cluster.Nodes)
 	}
-	r.taskProcFn = r.taskProc
 	r.requestFn = clu.Master.Request
 	// The master grant callback pops the ready queue at the exact grant
-	// instant and schedules the task process to start once the decision's
-	// service time has elapsed. Dispatch requests are procless events, so a
-	// ready task costs no goroutine handoffs until it is actually granted.
+	// instant and starts the task's lifecycle once the decision's service
+	// time has elapsed. Dispatch requests are plain events, so a ready task
+	// holds no lifecycle state until it is actually granted.
 	clu.Master.SetOnGrant(r.grantNext)
 	// The scheduler view is stable for the whole run: Load and Locate are
 	// live references into the run state, so one View serves every
@@ -494,9 +505,18 @@ func (r *simRun) addSession(wf *Workflow, tenant int32, ranks, costs []float64, 
 	}
 
 	// Seed the ready queue with dependency-free tasks in generation order.
+	// Every task is enqueued once in a fault-free run, so its input lists
+	// fit one slab sized to the workflow's reads.
+	reads := 0
 	for _, t := range wf.Graph.Tasks() {
 		s.remaining[t.ID] = len(t.Deps())
+		for _, p := range t.Params {
+			if p.Reads() {
+				reads++
+			}
+		}
 	}
+	r.reserveInputs(reads)
 	for _, t := range wf.Graph.Tasks() {
 		if s.remaining[t.ID] == 0 {
 			r.enqueue(s, t)
@@ -603,23 +623,13 @@ func (r *simRun) grabRemaining(n int) []int {
 // from a slab so each ready task's input list is not an individual
 // allocation. Slices are never returned: the total input-list footprint of
 // a run is a few entries per task, so the slabs cost tens of kilobytes
-// where per-task allocations cost one heap object each. Slabs grow
-// geometrically so a million-task run fills O(log n) of them, and the
-// biggest one is what an arena retains for the next trial.
+// where per-task allocations cost one heap object each. addSession
+// reserves a slab for the session's reads up front; re-enqueues under
+// fault injection overflow it into geometrically growing slabs. The
+// biggest slab is what an arena retains for the next trial.
 func (r *simRun) borrowInputs(n int) []sched.DataLoc {
 	if cap(r.inputSlab)-len(r.inputSlab) < n {
-		c := 2 * cap(r.inputSlab)
-		if c < 1024 {
-			c = 1024
-		}
-		if c < n {
-			c = n
-		}
-		slab := make([]sched.DataLoc, 0, c)
-		if a := r.cfg.Arena; a != nil && cap(slab) > cap(a.inputs) {
-			a.inputs = slab
-		}
-		r.inputSlab = slab
+		r.reserveInputs(max(2*cap(r.inputSlab), 1024, n))
 	}
 	k := len(r.inputSlab)
 	s := r.inputSlab[k : k : k+n]
@@ -627,12 +637,24 @@ func (r *simRun) borrowInputs(n int) []sched.DataLoc {
 	return s
 }
 
+// reserveInputs makes room for n more input entries in the current slab,
+// starting a slab of exactly that capacity when the current one is short.
+func (r *simRun) reserveInputs(n int) {
+	if cap(r.inputSlab)-len(r.inputSlab) >= n {
+		return
+	}
+	slab := make([]sched.DataLoc, 0, n)
+	if a := r.cfg.Arena; a != nil && cap(slab) > cap(a.inputs) {
+		a.inputs = slab
+	}
+	r.inputSlab = slab
+}
+
 // enqueue registers a ready task and files a dispatch request with the
-// master. The request is a zero-delay engine event — it takes the schedule
-// position the dispatch process's start node used to occupy, so dispatch
-// order is unchanged — and no process exists until the master grants the
-// request (grantNext). The enqueue instant rides with the ref so queue
-// disciplines that reorder dispatch still attribute the correct wait.
+// master. The request is a zero-delay engine event, and no lifecycle
+// state (attempt) exists until the master grants the request (grantNext).
+// The enqueue instant rides with the ref so queue disciplines that reorder
+// dispatch still attribute the correct wait.
 //
 // In multi-tenant mode the tenant's admission quota is enforced here, not
 // at the grant: a ref over quota parks in the tenant's overflow queue and
@@ -710,31 +732,12 @@ func (r *simRun) releaseQuota(s *session, taskID int) {
 	}
 }
 
-// rec appends one stage record, into buf when the attempt is buffered
-// (fault runs) or straight to the session's collector (fault-free hot
-// path). Explicit arguments instead of a per-task closure keep the record
-// path allocation-free.
-func (r *simRun) rec(s *session, buf *attemptRecs, task *dag.Task, nodeID, core int,
-	dev costmodel.DeviceKind, stage metrics.Stage, start, end float64) {
-	rec := metrics.Record{
-		TaskID: task.ID, TaskName: task.Name, Level: task.Level,
-		Node: nodeID, Core: core, Device: dev.String(),
-		Stage: stage, Start: start, End: end,
-	}
-	if buf != nil {
-		buf.recs[buf.n] = rec
-		buf.n++
-		return
-	}
-	s.sink.Observe(rec)
-}
-
 // grantNext runs engine-side at the instant the master is granted to the
 // oldest outstanding dispatch request: it pops the policy's pick from the
 // ready queue — the task actually dispatched is whichever the policy
-// selects at this exact instant — and schedules the task process to start
-// once the policy's decision time has elapsed. The master stays held until
-// that process places the task and calls End.
+// selects at this exact instant — and starts the task's lifecycle once the
+// policy's decision time has elapsed. The master stays held until that
+// attempt places the task and calls End.
 //
 // In multi-tenant mode the fair-share gate picks the tenant first, then
 // the policy picks within that tenant's refs; single-workflow runs take
@@ -755,37 +758,483 @@ func (r *simRun) grantNext() {
 		// Cannot happen: one request per queued ref.
 		panic("runtime: ready queue empty at dispatch")
 	}
-	r.granted.Push(ref)
-	r.eng.GoAfter("task", r.scheduler.Overhead(r.params, qlen, r.cfg.Cluster.Nodes), r.taskProcFn)
+	a := r.newAttempt()
+	a.ref, a.state = ref, stPlace
+	a.cont.Start(r.scheduler.Overhead(r.params, qlen, r.cfg.Cluster.Nodes))
 }
 
-// taskProc is the full lifecycle of one dispatched task, starting at the
-// instant its scheduling decision completes: placement on the master, the
-// Figure 4 pipeline on the placed node, then completion bookkeeping or —
-// under fault injection — the recovery policy for the attempt's outcome.
-func (r *simRun) taskProc(p *sim.Proc) {
-	// --- Scheduling epilogue: the grant and decision delay already
-	// happened engine-side (grantNext); this process starts with the
-	// master held, places the task, and releases the master.
-	ref, _ := r.granted.PopFront()
-	s := r.sessions[ref.Session]
-	nodeID := r.scheduler.Place(ref, &r.view)
-	if nodeID < 0 && r.faults != nil && !r.faults.AnyUp() {
-		// Every node is down. Park the ref; the next repair re-files it
-		// (onNodeRepair) with its original enqueue instant intact.
-		r.stats.Stalls++
-		r.stalled.Push(ref)
-		r.clu.Master.End()
+// attemptState is a position in the task lifecycle: the point step resumes
+// from when the engine calls it.
+type attemptState uint8
+
+const (
+	stPlace       attemptState = iota // decision made: place, release the master, take a core
+	stSlot                            // core held: bind a core slot, take the GPU
+	stBody                            // resources held: the body starts
+	stRead                            // locate the next input, or end the reads
+	stReadLeg                         // stream the current input along its route
+	stDeser                           // inputs read: decode them on the host
+	stDeserDone                       // decoded: user code starts
+	stCommInDone                      // GPU: host-to-device copy done
+	stCPUKernel                       // CPU: run the parallel kernel
+	stKernelDone                      // parallel kernel done
+	stCommOutDone                     // GPU: device-to-host copy done
+	stSerial                          // run the serial fraction
+	stSerialDone                      // serial fraction done: encode the outputs
+	stWrite                           // locate the next output, or end the writes
+	stWriteLeg                        // stream the current output along its route
+	stSerDone                         // outputs written: release and complete
+	stFailed                          // injected failure struck mid-kernel
+)
+
+// attempt is the lifecycle of one dispatched task, from the instant its
+// scheduling decision completes to its completion bookkeeping: placement
+// on the master, the Figure 4 pipeline on the placed node, and — under
+// fault injection — the recovery policy for the attempt's outcome. The
+// engine drives it as a continuation: step advances an explicit state
+// until a primitive (Cont.Wait, Server.Acquire, Link.Transfer) has to park
+// it, and runs again from that state at the resume instant.
+//
+// Attempts are pooled on the run (simRun.freeAttempts): one exists per
+// task in flight, and a finished attempt is reused by the next grant. A
+// run with an Arena hands its attempts on to the next run.
+type attempt struct {
+	cont   sim.Cont
+	stepFn func() // a.step, bound once: Bind re-uses it across runs
+	r      *simRun
+	state  attemptState
+
+	ref    sched.TaskRef
+	s      *session
+	task   *dag.Task
+	prof   costmodel.Profile
+	dev    costmodel.DeviceKind
+	nodeID int
+	node   *cluster.Node
+	slot   int
+	core   int
+	speed  float64 // CPU-side compute-rate multiplier for this node
+
+	// Fault-path state: buffered is set under injection, when records
+	// collect in recs until the attempt's outcome is known.
+	buffered bool
+	recs     attemptRecs
+	epoch    uint64
+	failNow  bool
+	failFrac float64
+
+	bodyStart  float64 // resources held: start of the recovery span
+	stageStart float64 // start of the stage in progress
+
+	// Cursors: the next input (ref.Inputs) or output (task.Params) and the
+	// leg of its route being streamed.
+	in, out   int
+	route     storage.Path
+	leg       int
+	restage   bool // the current input is re-fetched from its durable source
+	readBytes float64
+}
+
+// newAttempt returns a pooled attempt, or a fresh one bound to the run's
+// engine.
+func (r *simRun) newAttempt() *attempt {
+	if k := len(r.freeAttempts); k > 0 {
+		a := r.freeAttempts[k-1]
+		r.freeAttempts[k-1] = nil
+		r.freeAttempts = r.freeAttempts[:k-1]
+		return a
+	}
+	// One per peak task in flight; an Arena carries them into later runs.
+	a := &attempt{r: r} //wfsimlint:allow hotalloc
+	a.stepFn = a.step
+	r.eng.Bind(&a.cont, a.stepFn)
+	return a
+}
+
+// freeAttempt returns a finished attempt to the pool, dropping its
+// references to the task it ran.
+func (r *simRun) freeAttempt(a *attempt) {
+	a.ref, a.s, a.task, a.node = sched.TaskRef{}, nil, nil, nil
+	// Grows only to the run's peak number of tasks in flight.
+	r.freeAttempts = append(r.freeAttempts, a) //wfsimlint:allow hotalloc
+}
+
+// now is the current virtual time.
+func (a *attempt) now() float64 { return a.r.eng.Now() }
+
+// crashed reports whether the attempt's node restarted since placement.
+// The COMPSs master notices worker loss when a dispatched task's result is
+// due, not preemptively, so the lifecycle checks at stage boundaries.
+func (a *attempt) crashed() bool {
+	return a.r.faults != nil && a.r.faults.Epoch(a.nodeID) != a.epoch
+}
+
+// rec appends one stage record, into the attempt's buffer under fault
+// injection or straight to the session's sink (fault-free hot path).
+func (a *attempt) rec(core int, stage metrics.Stage, start, end float64) {
+	rec := metrics.Record{
+		TaskID: a.task.ID, TaskName: a.task.Name, Level: a.task.Level,
+		Node: a.nodeID, Core: core, Device: a.dev.String(),
+		Stage: stage, Start: start, End: end,
+	}
+	if a.buffered {
+		a.recs.recs[a.recs.n] = rec
+		a.recs.n++
 		return
 	}
-	r.clu.Master.End()
-	if nodeID < 0 || nodeID >= r.cfg.Cluster.Nodes {
-		panic(fmt.Sprintf("runtime: scheduler placed task %d on invalid node %d", ref.ID, nodeID))
-	}
-	r.load[nodeID]++
+	a.s.sink.Observe(rec)
+}
 
-	task := s.wf.Graph.Task(ref.ID)
-	switch r.runAttempt(p, s, ref, task, nodeID) {
+// step advances the lifecycle until a primitive parks it or the attempt
+// ends. Every primitive is issued after the state it resumes into is set,
+// so the engine's next call picks up exactly where the wait left off.
+func (a *attempt) step() {
+	r := a.r
+	for {
+		switch a.state {
+		case stPlace:
+			// The scheduling epilogue: the grant and decision delay already
+			// happened engine-side (grantNext), so the attempt starts with
+			// the master held, places the task, and releases the master.
+			nodeID := r.scheduler.Place(a.ref, &r.view)
+			if nodeID < 0 && r.faults != nil && !r.faults.AnyUp() {
+				// Every node is down. Park the ref; the next repair re-files
+				// it (onNodeRepair) with its original enqueue instant intact.
+				r.stats.Stalls++
+				r.stalled.Push(a.ref)
+				r.clu.Master.End()
+				r.freeAttempt(a)
+				return
+			}
+			r.clu.Master.End()
+			if nodeID < 0 || nodeID >= r.cfg.Cluster.Nodes {
+				panic(fmt.Sprintf("runtime: scheduler placed task %d on invalid node %d", a.ref.ID, nodeID))
+			}
+			r.load[nodeID]++
+			a.bindNode(nodeID)
+			a.state = stSlot
+			if !a.node.Cores.Acquire(&a.cont) {
+				return
+			}
+
+		case stSlot:
+			// Occupy a worker core for the whole task (COMPSs binds the task
+			// to a core; GPU tasks keep their host core while the kernel
+			// runs). A GPU-accelerated task additionally reserves its GPU
+			// device for its entire lifetime (a COMPSs {CPU:1, GPU:1}
+			// constraint: GPU worker deployments expose one executor slot
+			// per device). This is why "we can execute in parallel a maximum
+			// of 128 CPU-based tasks and only 32 GPU-accelerated tasks"
+			// (§3.3) — the task-level-parallelism asymmetry at the heart of
+			// the paper's parallel-task results.
+			a.slot = r.acquireSlot(a.nodeID)
+			a.core = a.nodeID*r.cfg.Cluster.CoresPerNode + a.slot
+			a.state = stBody
+			if a.dev == costmodel.GPU && !a.node.GPUs.Acquire(&a.cont) {
+				return
+			}
+
+		case stBody:
+			a.bodyStart = a.now()
+			if a.crashed() {
+				a.abort(attemptCrashed)
+				return
+			}
+			// Deserialization: storage reads of every input, then CPU
+			// decode.
+			a.stageStart = a.now()
+			a.in, a.readBytes = 0, 0
+			a.state = stRead
+
+		case stRead:
+			if a.in == len(a.ref.Inputs) {
+				a.state = stDeser
+				continue
+			}
+			if !a.locateInput() {
+				return
+			}
+			a.state = stReadLeg
+
+		case stReadLeg:
+			in := a.ref.Inputs[a.in]
+			if a.leg < a.route.N {
+				l := a.route.Links[a.leg]
+				a.leg++
+				if !l.Transfer(&a.cont, in.Bytes) {
+					return
+				}
+				continue
+			}
+			if a.restage {
+				r.store.Place(in.ID, a.nodeID)
+				r.stats.InputRestages++
+			}
+			a.readBytes += in.Bytes
+			a.in++
+			a.state = stRead
+
+		case stDeser:
+			a.state = stDeserDone
+			if a.readBytes > 0 && !a.cont.Wait(a.readBytes/r.params.DeserRate/a.speed) {
+				return
+			}
+
+		case stDeserDone:
+			a.rec(a.core, metrics.StageDeser, a.stageStart, a.now())
+			if a.crashed() {
+				a.abort(attemptCrashed)
+				return
+			}
+			// User code. On a GPU: host-to-device transfer on the node's
+			// contended PCIe bus first.
+			a.stageStart = a.now()
+			if a.dev == costmodel.CPU {
+				a.state = stCPUKernel
+				continue
+			}
+			a.state = stCommInDone
+			if a.prof.BytesIn > 0 && !a.node.PCIe.Transfer(&a.cont, a.prof.BytesIn) {
+				return
+			}
+
+		case stCommInDone:
+			a.rec(a.core, metrics.StageCommIn, a.stageStart, a.now())
+			a.stageStart = a.now()
+			kt := r.params.ParallelTime(a.prof, costmodel.GPU)
+			if a.failNow {
+				// The injected failure strikes partway through the kernel.
+				a.state = stFailed
+				if !a.cont.Wait(kt * a.failFrac) {
+					return
+				}
+				continue
+			}
+			a.state = stKernelDone
+			if !a.cont.Wait(kt) {
+				return
+			}
+
+		case stCPUKernel:
+			var kt float64
+			if a.prof.ParallelOps > 0 {
+				kt = r.params.ParallelTime(a.prof, costmodel.CPU)
+				// A task alone at its DAG level has no task-level
+				// parallelism to protect: its vectorized kernel spreads over
+				// the node's idle cores (NumPy/BLAS threading), which is why
+				// the paper's parallel-task time *drops* at the maximum
+				// block size (§5.3) instead of growing further.
+				if a.s.levelWidth[a.task.Level] == 1 {
+					kt /= r.params.SoloThreadSpeedup
+				}
+				kt /= a.speed
+			}
+			if a.failNow {
+				a.state = stFailed
+				if !a.cont.Wait(kt * a.failFrac) {
+					return
+				}
+				continue
+			}
+			a.state = stKernelDone
+			if kt > 0 && !a.cont.Wait(kt) {
+				return
+			}
+
+		case stFailed:
+			a.abort(attemptFailed)
+			return
+
+		case stKernelDone:
+			a.rec(a.core, metrics.StageParallel, a.stageStart, a.now())
+			if a.dev == costmodel.CPU {
+				a.state = stSerial
+				continue
+			}
+			a.stageStart = a.now()
+			a.state = stCommOutDone
+			if a.prof.BytesOut > 0 && !a.node.PCIe.Transfer(&a.cont, a.prof.BytesOut) {
+				return
+			}
+
+		case stCommOutDone:
+			a.rec(a.core, metrics.StageCommOut, a.stageStart, a.now())
+			a.state = stSerial
+
+		case stSerial:
+			// The serial fraction always runs on the host core (§3.3).
+			a.stageStart = a.now()
+			a.state = stSerialDone
+			if a.prof.SerialOps > 0 && !a.cont.Wait(r.params.SerialTime(a.prof)/a.speed) {
+				return
+			}
+
+		case stSerialDone:
+			a.rec(a.core, metrics.StageSerial, a.stageStart, a.now())
+			if a.crashed() {
+				a.abort(attemptCrashed)
+				return
+			}
+			// Serialization: CPU encode, then storage writes of every
+			// output.
+			a.stageStart = a.now()
+			ids := a.task.DataIDs()
+			var wroteBytes float64
+			for i, prm := range a.task.Params {
+				if prm.Writes() {
+					wroteBytes += a.s.wf.SizeByID(ids[i])
+				}
+			}
+			a.out = 0
+			a.state = stWrite
+			if wroteBytes > 0 && !a.cont.Wait(wroteBytes/r.params.SerRate/a.speed) {
+				return
+			}
+
+		case stWrite:
+			for a.out < len(a.task.Params) && !a.task.Params[a.out].Writes() {
+				a.out++
+			}
+			if a.out == len(a.task.Params) {
+				a.state = stSerDone
+				continue
+			}
+			a.route, a.leg = r.store.Write(a.node), 0
+			a.state = stWriteLeg
+
+		case stWriteLeg:
+			id := a.task.DataIDs()[a.out]
+			if a.leg < a.route.N {
+				l := a.route.Links[a.leg]
+				a.leg++
+				if !l.Transfer(&a.cont, a.s.wf.SizeByID(id)) {
+					return
+				}
+				continue
+			}
+			// The last leg completed: the block now lives where it landed.
+			r.store.Place(a.s.gid(id), a.nodeID)
+			a.out++
+			a.state = stWrite
+
+		case stSerDone:
+			a.rec(a.core, metrics.StageSer, a.stageStart, a.now())
+			if a.crashed() {
+				// The node died while the attempt was writing; local copies
+				// of its outputs died with it (shared storage keeps them —
+				// Drop is a no-op there).
+				ids := a.task.DataIDs()
+				for i, prm := range a.task.Params {
+					if prm.Writes() {
+						r.store.Drop(a.s.gid(ids[i]))
+					}
+				}
+				a.abort(attemptCrashed)
+				return
+			}
+			a.release()
+			if a.buffered {
+				for i := 0; i < a.recs.n; i++ {
+					a.s.sink.Observe(a.recs.recs[i])
+				}
+				if a.s.doneTask[a.task.ID] {
+					// A lineage re-execution of an already-completed producer.
+					r.stats.RecoveryWork += a.now() - a.bodyStart
+				}
+			}
+			a.finish(attemptDone)
+			return
+		}
+	}
+}
+
+// bindNode fixes the attempt on its placed node: the task's profile and
+// device, the node's compute speed and, under fault injection, the node's
+// restart epoch and this attempt's failure draw. It records the scheduling
+// stage that just ended.
+func (a *attempt) bindNode(nodeID int) {
+	r := a.r
+	a.s = r.sessions[a.ref.Session]
+	a.task = a.s.wf.Graph.Task(a.ref.ID)
+	a.prof = a.s.wf.Spec(a.task).Profile
+	a.dev = taskDevice(a.prof, r.cfg.Device)
+	a.nodeID, a.node = nodeID, r.clu.Node(nodeID)
+	a.speed = 1.0
+	if r.cfg.NodeSpeed != nil {
+		a.speed = r.cfg.NodeSpeed[nodeID]
+	}
+	a.buffered, a.recs.n = false, 0
+	a.failNow, a.failFrac = false, 0
+	if inj := r.faults; inj != nil {
+		a.buffered = true
+		a.epoch = inj.Epoch(nodeID)
+		a.speed *= inj.Speed(nodeID)
+		a.failNow, a.failFrac = inj.AttemptFails()
+	}
+	a.rec(-1, metrics.StageSched, a.ref.Enqueued, a.now())
+}
+
+// locateInput routes the next input: along the storage path to this node,
+// or — for a block lost with a local disk — through recovery. It reports
+// false when the attempt aborted to wait for lineage recovery.
+func (a *attempt) locateInput() bool {
+	r := a.r
+	in := a.ref.Inputs[a.in]
+	route, ok := r.store.Read(a.node, in.ID)
+	a.restage = !ok
+	if !ok {
+		if r.faults == nil {
+			r.panicUnknownRead(a.task, in.ID)
+		}
+		if prod := r.producerOf(a.s, a.task, in.ID); prod >= 0 {
+			// The block was produced by an upstream task and died with a
+			// local disk: lineage recovery re-executes the producer; this
+			// attempt aborts and waits for it.
+			r.addWaiter(a.s, prod, a.task.ID)
+			a.abort(attemptLostInput)
+			return false
+		}
+		// A workflow input is durable at its archival source: re-stage it
+		// onto this node through the network.
+		route = storage.PathOf(a.node.NIC, r.clu.Shared)
+	}
+	a.route, a.leg = route, 0
+	return true
+}
+
+// release frees the core slot, the core, the GPU and the node load unit the
+// attempt holds.
+func (a *attempt) release() {
+	r := a.r
+	if a.dev == costmodel.GPU {
+		a.node.GPUs.Release()
+	}
+	r.releaseSlot(a.nodeID, a.slot)
+	a.node.Cores.Release()
+	r.load[a.nodeID]--
+}
+
+// abort releases everything a doomed attempt holds, records its wasted
+// span as a single StageRecovery record — the core time the fault burned,
+// visible in traces and Gantt timelines as 'x' — and ends the attempt.
+func (a *attempt) abort(out attemptOutcome) {
+	r := a.r
+	a.release()
+	r.stats.WastedWork += a.now() - a.bodyStart
+	a.s.sink.Observe(metrics.Record{
+		TaskID: a.task.ID, TaskName: a.task.Name, Level: a.task.Level,
+		Node: a.nodeID, Core: a.core, Device: a.dev.String(),
+		Stage: metrics.StageRecovery, Start: a.bodyStart, End: a.now(),
+	})
+	a.finish(out)
+}
+
+// finish applies the recovery policy for the attempt's outcome, then
+// returns the attempt to the pool.
+func (a *attempt) finish(out attemptOutcome) {
+	r, s, task := a.r, a.s, a.task
+	r.freeAttempt(a)
+	switch out {
 	case attemptDone:
 		if r.faults != nil {
 			// Transient-failure exhaustion counts consecutive failures: a
@@ -815,220 +1264,6 @@ func (r *simRun) taskProc(p *sim.Proc) {
 		// The attempt registered itself as a lineage waiter; the
 		// producer's (re-)completion re-enqueues it.
 	}
-}
-
-// runAttempt executes one placed attempt of a task: the Figure 4 pipeline
-// under the fault model. Under injection it checks the node's restart
-// epoch at stage boundaries — the COMPSs master notices worker loss when a
-// dispatched task's result is due, not preemptively — and aborts the
-// attempt on a mismatch, releasing every held resource.
-func (r *simRun) runAttempt(p *sim.Proc, s *session, ref sched.TaskRef, task *dag.Task, nodeID int) attemptOutcome {
-	prof := s.wf.Spec(task).Profile
-	dev := taskDevice(prof, r.cfg.Device)
-	node := r.clu.Node(nodeID)
-	speed := 1.0 // CPU-side compute-rate multiplier for this node
-	if r.cfg.NodeSpeed != nil {
-		speed = r.cfg.NodeSpeed[nodeID]
-	}
-
-	inj := r.faults
-	var buf *attemptRecs
-	var epoch uint64
-	failNow, failFrac := false, 0.0
-	if inj != nil {
-		buf = &attemptRecs{}
-		epoch = inj.Epoch(nodeID)
-		speed *= inj.Speed(nodeID)
-		failNow, failFrac = inj.AttemptFails()
-	}
-
-	r.rec(s, buf, task, nodeID, -1, dev, metrics.StageSched, ref.Enqueued, p.Now())
-
-	// --- Occupy a worker core for the whole task (COMPSs binds the task
-	// to a core; GPU tasks keep their host core while the kernel runs).
-	// A GPU-accelerated task additionally reserves its GPU device for its
-	// entire lifetime (a COMPSs {CPU:1, GPU:1} constraint: GPU worker
-	// deployments expose one executor slot per device). This is why "we
-	// can execute in parallel a maximum of 128 CPU-based tasks and only
-	// 32 GPU-accelerated tasks" (§3.3) — the task-level-parallelism
-	// asymmetry at the heart of the paper's parallel-task results.
-	node.Cores.Acquire(p)
-	slot := r.acquireSlot(nodeID)
-	core := nodeID*r.cfg.Cluster.CoresPerNode + slot
-	if dev == costmodel.GPU {
-		node.GPUs.Acquire(p)
-	}
-	bodyStart := p.Now()
-	if inj != nil && inj.Epoch(nodeID) != epoch {
-		r.abortAttempt(p, s, task, nodeID, slot, dev, bodyStart)
-		return attemptCrashed
-	}
-
-	// --- Deserialization: storage reads of every input, then CPU decode.
-	dStart := p.Now()
-	var readBytes float64
-	for _, in := range ref.Inputs {
-		if _, ok := r.store.Read(p, node, in.ID, in.Bytes); !ok {
-			if inj == nil {
-				r.panicUnknownRead(task, in.ID)
-			}
-			if prod := r.producerOf(s, task, in.ID); prod >= 0 {
-				// The block was produced by an upstream task and died
-				// with a local disk: lineage recovery re-executes the
-				// producer; this attempt aborts and waits for it.
-				r.addWaiter(s, prod, task.ID)
-				r.abortAttempt(p, s, task, nodeID, slot, dev, bodyStart)
-				return attemptLostInput
-			}
-			// A workflow input is durable at its archival source:
-			// re-stage it onto this node through the network.
-			node.NIC.Transfer(p, in.Bytes)
-			r.clu.Shared.Transfer(p, in.Bytes)
-			r.store.Place(in.ID, nodeID)
-			r.stats.InputRestages++
-		}
-		readBytes += in.Bytes
-	}
-	if readBytes > 0 {
-		p.Wait(readBytes / r.params.DeserRate / speed)
-	}
-	r.rec(s, buf, task, nodeID, core, dev, metrics.StageDeser, dStart, p.Now())
-	if inj != nil && inj.Epoch(nodeID) != epoch {
-		r.abortAttempt(p, s, task, nodeID, slot, dev, bodyStart)
-		return attemptCrashed
-	}
-
-	// --- User code.
-	switch dev {
-	case costmodel.GPU:
-		// Host-to-device transfer on the node's contended PCIe bus.
-		gStart := p.Now()
-		if prof.BytesIn > 0 {
-			node.PCIe.Transfer(p, prof.BytesIn)
-		}
-		r.rec(s, buf, task, nodeID, core, dev, metrics.StageCommIn, gStart, p.Now())
-
-		kStart := p.Now()
-		kt := r.params.ParallelTime(prof, costmodel.GPU)
-		if failNow {
-			// The injected failure strikes partway through the kernel.
-			p.Wait(kt * failFrac)
-			r.abortAttempt(p, s, task, nodeID, slot, dev, bodyStart)
-			return attemptFailed
-		}
-		p.Wait(kt)
-		r.rec(s, buf, task, nodeID, core, dev, metrics.StageParallel, kStart, p.Now())
-
-		oStart := p.Now()
-		if prof.BytesOut > 0 {
-			node.PCIe.Transfer(p, prof.BytesOut)
-		}
-		r.rec(s, buf, task, nodeID, core, dev, metrics.StageCommOut, oStart, p.Now())
-	case costmodel.CPU:
-		kStart := p.Now()
-		var kt float64
-		if prof.ParallelOps > 0 {
-			kt = r.params.ParallelTime(prof, costmodel.CPU)
-			// A task alone at its DAG level has no task-level
-			// parallelism to protect: its vectorized kernel spreads over
-			// the node's idle cores (NumPy/BLAS threading), which is why
-			// the paper's parallel-task time *drops* at the maximum
-			// block size (§5.3) instead of growing further.
-			if s.levelWidth[task.Level] == 1 {
-				kt /= r.params.SoloThreadSpeedup
-			}
-			kt /= speed
-		}
-		if failNow {
-			p.Wait(kt * failFrac)
-			r.abortAttempt(p, s, task, nodeID, slot, dev, bodyStart)
-			return attemptFailed
-		}
-		if kt > 0 {
-			p.Wait(kt)
-		}
-		r.rec(s, buf, task, nodeID, core, dev, metrics.StageParallel, kStart, p.Now())
-	}
-
-	// Serial fraction always runs on the host core (§3.3).
-	sStart := p.Now()
-	if prof.SerialOps > 0 {
-		p.Wait(r.params.SerialTime(prof) / speed)
-	}
-	r.rec(s, buf, task, nodeID, core, dev, metrics.StageSerial, sStart, p.Now())
-	if inj != nil && inj.Epoch(nodeID) != epoch {
-		r.abortAttempt(p, s, task, nodeID, slot, dev, bodyStart)
-		return attemptCrashed
-	}
-
-	// --- Serialization: CPU encode, then storage writes of every output.
-	wStart := p.Now()
-	ids := task.DataIDs()
-	var wroteBytes float64
-	for i, prm := range task.Params {
-		if prm.Writes() {
-			wroteBytes += s.wf.SizeByID(ids[i])
-		}
-	}
-	if wroteBytes > 0 {
-		p.Wait(wroteBytes / r.params.SerRate / speed)
-	}
-	for i, prm := range task.Params {
-		if prm.Writes() {
-			id := ids[i]
-			r.store.Write(p, node, s.gid(id), s.wf.SizeByID(id))
-		}
-	}
-	r.rec(s, buf, task, nodeID, core, dev, metrics.StageSer, wStart, p.Now())
-	if inj != nil && inj.Epoch(nodeID) != epoch {
-		// The node died while the attempt was writing; local copies of
-		// its outputs died with it (shared storage keeps them — Drop is
-		// a no-op there).
-		for i, prm := range task.Params {
-			if prm.Writes() {
-				r.store.Drop(s.gid(ids[i]))
-			}
-		}
-		r.abortAttempt(p, s, task, nodeID, slot, dev, bodyStart)
-		return attemptCrashed
-	}
-
-	if dev == costmodel.GPU {
-		node.GPUs.Release()
-	}
-	r.releaseSlot(nodeID, slot)
-	node.Cores.Release()
-	r.load[nodeID]--
-	if buf != nil {
-		for i := 0; i < buf.n; i++ {
-			s.sink.Observe(buf.recs[i])
-		}
-		if s.doneTask[task.ID] {
-			// A lineage re-execution of an already-completed producer.
-			r.stats.RecoveryWork += p.Now() - bodyStart
-		}
-	}
-	return attemptDone
-}
-
-// abortAttempt releases everything a doomed attempt holds and records its
-// wasted span as a single StageRecovery record — the core time the fault
-// burned, visible in traces and Gantt timelines as 'x'.
-func (r *simRun) abortAttempt(p *sim.Proc, s *session, task *dag.Task, nodeID, slot int,
-	dev costmodel.DeviceKind, bodyStart float64) {
-	node := r.clu.Node(nodeID)
-	if dev == costmodel.GPU {
-		node.GPUs.Release()
-	}
-	r.releaseSlot(nodeID, slot)
-	node.Cores.Release()
-	r.load[nodeID]--
-	r.stats.WastedWork += p.Now() - bodyStart
-	s.sink.Observe(metrics.Record{
-		TaskID: task.ID, TaskName: task.Name, Level: task.Level,
-		Node: nodeID, Core: nodeID*r.cfg.Cluster.CoresPerNode + slot, Device: dev.String(),
-		Stage: metrics.StageRecovery, Start: bodyStart, End: p.Now(),
-	})
 }
 
 // panicUnknownRead is the fault-free-path assertion for a missed block

@@ -1,0 +1,41 @@
+package runtime_test
+
+import (
+	"testing"
+
+	"wfsim/internal/apps/kmeans"
+	"wfsim/internal/costmodel"
+	"wfsim/internal/dataset"
+	"wfsim/internal/runtime"
+	"wfsim/internal/sim"
+)
+
+// TestEngineStatsDeterministic runs the golden 256-block K-means GPU
+// configuration twice and demands identical engine counters. The counts
+// are pinned too: they are the event sequence's fingerprint, and the
+// values below are those of the coroutine engine the continuation
+// lifecycle replaced, so a port that adds, drops or reorders events fails
+// here even when the trace happens to survive.
+func TestEngineStatsDeterministic(t *testing.T) {
+	run := func() sim.Stats {
+		wf, err := kmeans.Build(kmeans.Config{
+			Dataset: dataset.KMeansSmall, Grid: 256, Clusters: 10,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, st, err := runtime.RunSimStats(wf, runtime.SimConfig{Device: costmodel.GPU})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	a, b := run(), run()
+	if a != b {
+		t.Fatalf("engine counters diverged:\n  first:  %+v\n  second: %+v", a, b)
+	}
+	want := sim.Stats{Dispatched: 47980, InPlaceWaits: 1190, PeakPending: 256}
+	if a != want {
+		t.Fatalf("engine counters = %+v, want %+v", a, want)
+	}
+}

@@ -1,24 +1,22 @@
 package sim
 
 // Arena holds a finished engine's recyclable substrate storage — event-node
-// slabs, the backing arrays of the heap and the zero-delay ring, and proc
-// bookkeeping slices — so a sweep running thousands of trials warms these
-// allocations once per worker instead of once per trial.
+// slabs and the backing arrays of the heap and the zero-delay ring — so a
+// sweep running thousands of trials warms these allocations once per worker
+// instead of once per trial.
 //
 // Lifetime rules (see DESIGN.md §12): an Arena may be used by one run at a
 // time (runner gives each worker its own); Engine.Release may only be
 // called after Run has returned, when no events are pending; and adopted
 // node slabs get a generation bump, so Event handles from a released run
 // degrade into no-ops exactly like handles to recycled pool nodes within
-// a run. Process coroutines are not arena state — they already recycle
-// engine-to-engine through the package-global proc pool.
+// a run. Continuations are owned by their callers, who re-bind them to the
+// next engine (Engine.Bind).
 type Arena struct {
-	slabs     [][]event
-	free      []*event
-	heap      eventHeap
-	ring      []ringEntry
-	allProcs  []*Proc
-	freeProcs []*Proc
+	slabs [][]event
+	free  []*event
+	heap  eventHeap
+	ring  []ringEntry
 }
 
 // NewIn returns an engine whose substrate storage is adopted from the
@@ -39,7 +37,6 @@ func NewIn(a *Arena) *Engine {
 			n.eng = e
 			n.index = -1
 			n.fn = nil
-			n.proc = nil
 			n.owned = false
 			n.canceled = false
 			e.free = append(e.free, n)
@@ -47,8 +44,6 @@ func NewIn(a *Arena) *Engine {
 	}
 	e.heap, a.heap = a.heap, nil
 	e.ring, a.ring = a.ring, nil
-	e.allProcs, a.allProcs = a.allProcs, nil
-	e.freeProcs, a.freeProcs = a.freeProcs, nil
 	return e
 }
 
@@ -62,6 +57,4 @@ func (e *Engine) Release(a *Arena) {
 	a.heap, e.heap = e.heap[:0], nil
 	a.ring, e.ring = e.ring[:0], nil
 	e.ringHead, e.ringLive = 0, 0
-	a.allProcs, e.allProcs = e.allProcs[:0], nil
-	a.freeProcs, e.freeProcs = e.freeProcs[:0], nil
 }

@@ -2,30 +2,37 @@
 // engine used to model the heterogeneous CPU-GPU cluster on which the
 // reproduced experiments run.
 //
-// The engine follows a coroutine style: simulated activities are written as
-// ordinary sequential Go functions (processes) that block on virtual-time
-// primitives — Wait, Server.Acquire, Link.Transfer — while the engine
-// advances a virtual clock through an indexed event heap. A single baton of
-// control moves between goroutines: the current holder runs the
-// event-dispatch loop inline and wakes the next process with one channel
-// send, so a park/resume cycle costs a single send/receive pair and exactly
-// one goroutine is ever running. Simulations are therefore fully
-// deterministic: the same inputs always produce the same event order and the
-// same virtual timestamps, regardless of GOMAXPROCS.
+// The engine advances a virtual clock through an indexed event heap (plus a
+// FIFO ring for events at the current instant) and runs every event as a
+// callback, inline, on the one goroutine that called Run. Simulated
+// activities that wait in virtual time are continuations (Cont): an owned,
+// pre-bound event node plus a step function. The activity keeps its
+// position as explicit state; its step advances that state until a
+// blocking primitive — Cont.Wait, Server.Acquire, Link.Transfer — cannot
+// complete in place, then returns, and the engine calls the step again at
+// the resume instant. A primitive reports true when it completed in place
+// (the step continues inline) and false when it parked the continuation.
+// No goroutine, stack or channel is involved, so simulations are fully
+// deterministic: the same inputs always produce the same event order and
+// the same virtual timestamps, regardless of GOMAXPROCS.
 //
 // The substrate is allocation-lean by design — this package is the hot path
 // of every experiment sweep. Event nodes are pooled and recycled
-// (generation-stamped handles keep Cancel safe across reuse); processes,
-// their goroutines and resume channels are pooled across Engine.Go calls;
-// blocking primitives reschedule pre-bound event nodes in place on the live
-// heap (Engine.Reschedule / heap fix) instead of cancelling and re-pushing.
-// Steady-state event traffic and process churn allocate nothing.
+// (generation-stamped handles keep Cancel safe across reuse); continuations
+// and link flows own their nodes and reuse them across every park/resume
+// cycle; blocking primitives reschedule pre-bound event nodes in place on
+// the live heap (Engine.Reschedule / heap fix) instead of cancelling and
+// re-pushing. Steady-state event traffic allocates nothing, and Arena
+// carries the warmed storage from one engine to the next.
 //
 // Three primitives cover everything the cluster model needs:
 //
-//   - Engine: the virtual clock and event queue.
+//   - Engine: the virtual clock and event queue, with deterministic
+//     activity counters (Engine.Stats).
 //   - Server: a capacity-constrained resource with a FIFO wait queue
-//     (CPU cores, GPU devices, the scheduler master thread).
+//     (CPU cores, GPU devices, the scheduler master thread). Continuations
+//     queued on a Server when the schedule drains are a deadlock, which
+//     Run reports.
 //   - Link: a fluid-flow, fair-shared bandwidth resource (PCIe buses, node
 //     disks, NICs, the shared GPFS backend). Concurrent transfers share the
 //     bandwidth equally; rates are recomputed whenever a transfer starts or

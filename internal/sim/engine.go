@@ -7,23 +7,19 @@ import (
 
 // event is the engine-internal scheduled-callback node. Nodes are pooled:
 // when a pool-owned node fires it is recycled for the next Schedule, so
-// steady-state event traffic allocates nothing. Nodes owned by a Proc or a
+// steady-state event traffic allocates nothing. Nodes owned by a Cont or a
 // Link (owned == true) are never returned to the pool — their owner reuses
 // them directly across schedule cycles.
 type event struct {
 	at  float64
 	seq uint64 // tie-breaker: FIFO among events at the same instant
 
-	// Exactly one of fn/proc is set: fn is a plain callback; proc marks a
-	// process handoff node that the dispatch loop resumes directly, with no
-	// closure or callback indirection.
-	fn   func()
-	proc *Proc
+	fn func()
 
 	eng      *Engine
 	index    int    // heap index, -1 while off-heap
 	gen      uint64 // bumped each time a pooled node is recycled
-	owned    bool   // Proc-/Link-owned: reused by the owner, never pooled
+	owned    bool   // Cont-/Link-owned: reused by the owner, never pooled
 	canceled bool
 }
 
@@ -219,18 +215,19 @@ type ringEntry struct {
 // Engine is a deterministic discrete-event simulator. The zero value is not
 // usable; construct with New.
 //
-// # Handoff protocol
+// # Continuations
 //
-// The engine runs processes as coroutines: Run's goroutine executes the
-// event-dispatch loop, running plain callback events inline; when the next
-// event belongs to a process, the loop switches control into that process's
-// coroutine directly (iter.Pull's coroutine transfer — a goroutine switch
-// that bypasses the Go scheduler entirely) and gets control back the moment
-// the process suspends or finishes. A blocking primitive (Wait,
-// Server.Acquire, Link.Transfer) therefore costs a single switch-out/
-// switch-in pair per park/resume — no channel operations, no scheduler
-// wake-ups — and the simulation stays deterministic regardless of
-// GOMAXPROCS because exactly one goroutine is ever runnable.
+// Run's goroutine executes the event-dispatch loop and nothing else runs:
+// every event is a callback invoked inline. A simulated activity that must
+// wait in virtual time is written as a continuation (Cont): an owned event
+// node bound to a step function that resumes the activity from an explicit
+// state each time the node fires. A blocking primitive (Cont.Wait,
+// Server.Acquire, Link.Transfer) either completes in place and reports true
+// — the step continues inline — or arranges for the node to fire later and
+// reports false, and the step returns to the loop. A park/resume cycle thus
+// costs one node push and pop: no goroutine, no stack, no switch. The
+// simulation is deterministic regardless of GOMAXPROCS because exactly one
+// goroutine ever touches the engine.
 type Engine struct {
 	now float64
 	seq uint64
@@ -240,11 +237,11 @@ type Engine struct {
 
 	// ring is the zero-delay FIFO: events scheduled at exactly the current
 	// instant bypass the heap — ~35% of all events in the workflow runs
-	// (every proc wakeup is a zero-delay schedule), each saving an O(log n)
-	// sift pair. Seq order equals append order because seq assignment is
-	// globally monotonic, so a plain FIFO preserves the (at, seq) pop
-	// contract; pop still compares against the heap root, which wins a
-	// same-instant tie on a smaller seq.
+	// (every Server grant and Link completion resumes its continuation with
+	// a zero-delay schedule), each saving an O(log n) sift pair. Seq order
+	// equals append order because seq assignment is globally monotonic, so
+	// a plain FIFO preserves the (at, seq) pop contract; pop still compares
+	// against the heap root, which wins a same-instant tie on a smaller seq.
 	ring     []ringEntry
 	ringHead int
 	ringLive int // non-stale ring entries (for Pending)
@@ -255,18 +252,29 @@ type Engine struct {
 
 	err error // sticky corrupt-simulation error discovered during dispatch
 
-	liveProcs   int // started and not yet finished
-	parkedProcs int // suspended awaiting a resume event
+	// parked counts continuations queued on a Server: if any remain when
+	// the schedule drains, nothing can ever grant them (a deadlock).
+	parked int
 
-	// freeProcs holds finished Procs awaiting reuse; Go pops from here
-	// before allocating. allProcs holds every Proc ever created on this
-	// engine, so Run can tear every coroutine down on exit — including
-	// processes left suspended mid-task by a deadlock.
-	freeProcs []*Proc
-	allProcs  []*Proc
+	stats Stats
 
 	ran bool
 }
+
+// Stats are the engine's deterministic activity counters: the same
+// simulation always produces the same values, whatever the host.
+type Stats struct {
+	// Dispatched counts events popped from the schedule and run.
+	Dispatched uint64
+	// InPlaceWaits counts waits that advanced the clock without scheduling
+	// an event (see Cont.Wait).
+	InPlaceWaits uint64
+	// PeakPending is the largest number of events pending at once.
+	PeakPending int
+}
+
+// Stats returns the engine's activity counters so far.
+func (e *Engine) Stats() Stats { return e.stats }
 
 // New returns an empty engine with the clock at 0.
 func New() *Engine { return &Engine{} }
@@ -278,9 +286,12 @@ func (e *Engine) pushNode(n *event) {
 		n.index = ringIndex
 		e.ring = append(e.ring, ringEntry{seq: n.seq, n: n})
 		e.ringLive++
-		return
+	} else {
+		e.heap.push(n)
 	}
-	e.heap.push(n)
+	if p := len(e.heap) + e.ringLive; p > e.stats.PeakPending {
+		e.stats.PeakPending = p
+	}
 }
 
 // popNode removes and returns the earliest pending event across the heap
@@ -365,7 +376,7 @@ func (e *Engine) putNode(n *event) {
 }
 
 // schedNode pushes an off-heap node with a fresh sequence number. It is the
-// single entry point for owned nodes (Proc resume events, Link completion
+// single entry point for owned nodes (Cont resume events, Link completion
 // events), so its seq assignment order — not node identity — is what fixes
 // the deterministic event order.
 func (e *Engine) schedNode(n *event, delay float64) {
@@ -435,10 +446,26 @@ func (e *Engine) Reschedule(ev Event, delay float64) {
 	e.fixNode(n, delay)
 }
 
-// dispatch is the event loop: it pops events, advances the clock, runs
-// callback events inline and switches control into process coroutines for
-// handoff events. It returns when the queue is exhausted or the simulation
-// is corrupt (see e.err).
+// waitInPlace advances the clock by d without scheduling anything when no
+// other event can fire first: the resume would fire strictly before every
+// pending event, so queueing it would only pop it straight back. The
+// strictness matters: a pending event at exactly the resume instant holds a
+// smaller seq and must run first, so ties report false and the caller
+// schedules.
+func (e *Engine) waitInPlace(d float64) bool {
+	if d >= 0 && e.ringLive == 0 {
+		if t := e.now + d; len(e.heap) == 0 || t < e.heap[0].at {
+			e.now = t
+			e.stats.InPlaceWaits++
+			return true
+		}
+	}
+	return false
+}
+
+// dispatch is the event loop: it pops events, advances the clock and runs
+// each event's callback inline. It returns when the queue is exhausted or
+// the simulation is corrupt (see e.err).
 func (e *Engine) dispatch() {
 	for {
 		n := e.popNode()
@@ -451,12 +478,7 @@ func (e *Engine) dispatch() {
 			return
 		}
 		e.now = n.at
-		if n.proc != nil {
-			// Control transfers into the process and comes back the moment
-			// it suspends (Wait, park) or finishes.
-			n.proc.resume()
-			continue
-		}
+		e.stats.Dispatched++
 		fn := n.fn
 		if !n.owned {
 			e.putNode(n)
@@ -466,48 +488,25 @@ func (e *Engine) dispatch() {
 }
 
 // Run executes events until the queue drains. It returns an error if the
-// queue drains while processes are still parked (a deadlock: some process
-// waits for a resource that will never be released). Run may only be called
-// once per engine.
+// queue drains while continuations are still queued on a Server (a
+// deadlock: some activity waits for a slot that will never be released).
+// Run may only be called once per engine.
 func (e *Engine) Run() error {
 	if e.ran {
 		return fmt.Errorf("sim: Run called twice") //wfsimlint:allow hotalloc
 	}
 	e.ran = true
 	e.dispatch()
-	deadlocked := e.parkedProcs
-	e.stopProcs()
 	if e.err != nil {
 		return e.err
 	}
-	if deadlocked > 0 {
+	if e.parked > 0 {
 		// Terminal diagnosis after the queue drained: never steady-state.
 		//wfsimlint:allow hotalloc
-		return fmt.Errorf("sim: deadlock: %d process(es) parked with no pending events at t=%v",
-			deadlocked, e.now)
+		return fmt.Errorf("sim: deadlock: %d continuation(s) queued on servers with no pending events at t=%v",
+			e.parked, e.now)
 	}
 	return nil
-}
-
-// stopProcs releases every process coroutine created on or adopted by this
-// engine when the simulation ends: idle ones are donated to the global
-// coroutine pool for the next engine (overflow beyond the pool cap is
-// stopped), while ones left suspended mid-task by a deadlock are stopped,
-// unwinding via procStopped. Beyond the bounded pool, an engine leaks no
-// goroutines.
-func (e *Engine) stopProcs() {
-	for i, p := range e.allProcs {
-		if !p.pooled {
-			p.stop()
-		}
-		e.allProcs[i] = nil
-	}
-	e.allProcs = e.allProcs[:0]
-	donateProcs(e.freeProcs)
-	for i := range e.freeProcs {
-		e.freeProcs[i] = nil
-	}
-	e.freeProcs = e.freeProcs[:0]
 }
 
 // Pending returns the number of live scheduled events. Cancelled events

@@ -94,15 +94,8 @@ func TestRunTwice(t *testing.T) {
 func TestProcWait(t *testing.T) {
 	e := New()
 	var stamps []float64
-	e.Go("p", func(p *Proc) {
-		stamps = append(stamps, p.Now())
-		p.Wait(1.5)
-		stamps = append(stamps, p.Now())
-		p.Wait(0)
-		stamps = append(stamps, p.Now())
-		p.Wait(2.5)
-		stamps = append(stamps, p.Now())
-	})
+	stamp := do(func() { stamps = append(stamps, e.Now()) })
+	spawn(e, 0, stamp, wait(1.5), stamp, wait(0), stamp, wait(2.5), stamp)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -117,18 +110,9 @@ func TestProcWait(t *testing.T) {
 func TestProcInterleaving(t *testing.T) {
 	e := New()
 	var order []string
-	e.Go("a", func(p *Proc) {
-		order = append(order, "a0")
-		p.Wait(2)
-		order = append(order, "a2")
-	})
-	e.Go("b", func(p *Proc) {
-		order = append(order, "b0")
-		p.Wait(1)
-		order = append(order, "b1")
-		p.Wait(2)
-		order = append(order, "b3")
-	})
+	log := func(s string) op { return do(func() { order = append(order, s) }) }
+	spawn(e, 0, log("a0"), wait(2), log("a2"))
+	spawn(e, 0, log("b0"), wait(1), log("b1"), wait(2), log("b3"))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -146,23 +130,40 @@ func TestProcInterleaving(t *testing.T) {
 func TestNestedGo(t *testing.T) {
 	e := New()
 	done := 0
-	e.Go("outer", func(p *Proc) {
-		p.Wait(1)
-		p.Engine().Go("inner", func(q *Proc) {
-			q.Wait(1)
-			if q.Now() != 2 {
-				t.Errorf("inner Now = %v, want 2", q.Now())
-			}
-			done++
-		})
-		p.Wait(5)
-		done++
-	})
+	spawn(e, 0,
+		wait(1),
+		do(func() {
+			spawn(e, 0, wait(1), do(func() {
+				if e.Now() != 2 {
+					t.Errorf("inner Now = %v, want 2", e.Now())
+				}
+				done++
+			}))
+		}),
+		wait(5),
+		do(func() { done++ }),
+	)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if done != 2 {
 		t.Fatalf("done = %d, want 2", done)
+	}
+}
+
+// TestStatsCounters pins the engine counters on a two-chain interleaving:
+// a start and every queued resume count as dispatched events, while a wait
+// that no pending event can overtake advances the clock in place.
+func TestStatsCounters(t *testing.T) {
+	e := New()
+	spawn(e, 0, wait(2))
+	spawn(e, 0, wait(1), wait(2)) // wait(1) ends before the other chain's resume at 2
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := Stats{Dispatched: 4, InPlaceWaits: 1, PeakPending: 2}
+	if got := e.Stats(); got != want {
+		t.Fatalf("Stats() = %+v, want %+v", got, want)
 	}
 }
 
@@ -173,13 +174,10 @@ func TestDeterminism(t *testing.T) {
 		srv := NewServer(e, "cpu", 2)
 		link := NewLink(e, "net", 100, 0.001)
 		for i := 0; i < 8; i++ {
-			e.Go("w", func(p *Proc) {
-				srv.Acquire(p)
-				link.Transfer(p, 250)
-				p.Wait(0.5)
+			spawn(e, 0, acquire(srv), transfer(link, 250), wait(0.5), do(func() {
 				srv.Release()
-				stamps = append(stamps, p.Now())
-			})
+				stamps = append(stamps, e.Now())
+			}))
 		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)

@@ -50,7 +50,7 @@ type Link struct {
 type flow struct {
 	remaining float64
 	total     float64
-	proc      *Proc
+	cont      *Cont
 	link      *Link
 	join      event // owned node: fires when the startup latency elapses
 }
@@ -141,15 +141,15 @@ func (l *Link) advance() {
 // getFlow/putFlow recycle flow structs across transfers. A flow's join
 // node and its callback are bound once at creation and reused for the
 // struct's whole pooled lifetime.
-func (l *Link) getFlow(bytes float64, p *Proc) *flow {
+func (l *Link) getFlow(bytes float64, c *Cont) *flow {
 	if k := len(l.freeFlows); k > 0 {
 		f := l.freeFlows[k-1]
 		l.freeFlows[k-1] = nil
 		l.freeFlows = l.freeFlows[:k-1]
-		f.remaining, f.total, f.proc = bytes, bytes, p
+		f.remaining, f.total, f.cont = bytes, bytes, c
 		return f
 	}
-	f := &flow{remaining: bytes, total: bytes, proc: p, link: l}
+	f := &flow{remaining: bytes, total: bytes, cont: c, link: l}
 	f.join.eng = l.eng
 	f.join.index = -1
 	f.join.owned = true
@@ -158,7 +158,7 @@ func (l *Link) getFlow(bytes float64, p *Proc) *flow {
 }
 
 func (l *Link) putFlow(f *flow) {
-	f.proc = nil
+	f.cont = nil
 	l.freeFlows = append(l.freeFlows, f)
 }
 
@@ -181,8 +181,8 @@ func (l *Link) retarget(f *flow) {
 }
 
 // complete fires when the target flow has drained; it removes the target
-// plus any other flow within float64 drift of empty, wakes their processes
-// in insertion order, and retargets the earliest remaining flow — found
+// plus any other flow within float64 drift of empty, resumes their
+// continuations in insertion order, and retargets the earliest remaining flow — found
 // during the same removal sweep, not by a second scan.
 func (l *Link) complete() {
 	if l.target != nil {
@@ -196,7 +196,7 @@ func (l *Link) complete() {
 		if f.remaining <= completionEpsilon+1e-12*f.total {
 			l.transfers++
 			l.bytesMoved += f.total
-			f.proc.unpark()
+			f.cont.resume()
 			l.putFlow(f)
 			l.vacate()
 		} else {
@@ -231,45 +231,56 @@ func (l *Link) joinNow(f *flow) {
 }
 
 // joinLatent fires when a flow's startup latency elapses: the latency
-// occupancy converts into flow occupancy and the flow joins the pipe. It
-// runs inline on the dispatch goroutine, so the latency leg costs no
-// process handoff.
+// occupancy converts into flow occupancy and the flow joins the pipe. A
+// zero-byte flow has nothing to stream, so the transfer is complete: the
+// flow is recycled and its continuation's step runs inline, in this very
+// event, at the instant and schedule position of a plain latency Wait.
 func (f *flow) joinLatent() {
-	f.link.vacate()
-	f.link.joinNow(f)
+	l := f.link
+	l.vacate()
+	if f.total == 0 {
+		l.transfers++
+		c := f.cont
+		l.putFlow(f)
+		c.ev.fn()
+		return
+	}
+	l.joinNow(f)
 }
 
-// Transfer moves bytes over the link on behalf of process p, blocking in
-// virtual time until the transfer completes. Concurrent transfers share the
-// bandwidth equally. A zero-byte transfer pays only the latency.
+// Transfer moves bytes over the link on behalf of continuation c.
+// Concurrent transfers share the bandwidth equally. A zero-byte transfer
+// pays only the latency.
+//
+// Transfer reports true when the transfer completed in place (a zero-byte
+// transfer whose latency elapsed with no other event due first, or one on a
+// latency-free link); otherwise it reports false and c's step runs again
+// at the instant the transfer completes, scheduled from the completion
+// event at delay 0.
 //
 // On a link with startup latency the flow's join is a scheduled inline
-// event rather than a process wake-up, so the calling process parks exactly
-// once per transfer — halving the goroutine handoffs on the hottest
-// substrate path. The join event receives the same schedule position the
-// process's own latency wake-up would have had, so event ordering (and with
-// it the simulation's determinism) is unchanged.
-func (l *Link) Transfer(p *Proc, bytes float64) {
+// event rather than a wake-up of c, so the continuation is resumed exactly
+// once per transfer. The join event takes the schedule position a latency
+// Wait issued here would take, so ordering matches a wait-then-join.
+func (l *Link) Transfer(c *Cont, bytes float64) bool {
 	if bytes < 0 || math.IsNaN(bytes) {
 		panic(fmt.Sprintf("sim: transfer of %v bytes on link %q", bytes, l.name))
 	}
 	if l.latency > 0 {
 		l.occupy()
-		if bytes == 0 {
-			p.Wait(l.latency)
+		if bytes == 0 && l.eng.waitInPlace(l.latency) {
 			l.vacate()
 			l.transfers++
-			return
+			return true
 		}
-		f := l.getFlow(bytes, p)
+		f := l.getFlow(bytes, c)
 		l.eng.schedNode(&f.join, l.latency)
-		p.park()
-		return
+		return false
 	}
 	if bytes == 0 {
 		l.transfers++
-		return
+		return true
 	}
-	l.joinNow(l.getFlow(bytes, p))
-	p.park()
+	l.joinNow(l.getFlow(bytes, c))
+	return false
 }

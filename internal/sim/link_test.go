@@ -13,10 +13,7 @@ func TestLinkSingleTransfer(t *testing.T) {
 	e := New()
 	l := NewLink(e, "disk", 100, 0) // 100 B/s
 	var done float64
-	e.Go("t", func(p *Proc) {
-		l.Transfer(p, 500)
-		done = p.Now()
-	})
+	spawn(e, 0, transfer(l, 500), do(func() { done = e.Now() }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -35,10 +32,7 @@ func TestLinkLatency(t *testing.T) {
 	e := New()
 	l := NewLink(e, "gpfs", 100, 0.25)
 	var done float64
-	e.Go("t", func(p *Proc) {
-		l.Transfer(p, 100)
-		done = p.Now()
-	})
+	spawn(e, 0, transfer(l, 100), do(func() { done = e.Now() }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -51,10 +45,7 @@ func TestLinkZeroBytes(t *testing.T) {
 	e := New()
 	l := NewLink(e, "net", 100, 0.5)
 	var done float64
-	e.Go("t", func(p *Proc) {
-		l.Transfer(p, 0)
-		done = p.Now()
-	})
+	spawn(e, 0, transfer(l, 0), do(func() { done = e.Now() }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -72,14 +63,8 @@ func TestLinkFairShare(t *testing.T) {
 	e := New()
 	l := NewLink(e, "disk", 100, 0)
 	var t1, t2 float64
-	e.Go("a", func(p *Proc) {
-		l.Transfer(p, 100)
-		t1 = p.Now()
-	})
-	e.Go("b", func(p *Proc) {
-		l.Transfer(p, 100)
-		t2 = p.Now()
-	})
+	spawn(e, 0, transfer(l, 100), do(func() { t1 = e.Now() }))
+	spawn(e, 0, transfer(l, 100), do(func() { t2 = e.Now() }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,14 +80,8 @@ func TestLinkUnevenShare(t *testing.T) {
 	e := New()
 	l := NewLink(e, "disk", 100, 0)
 	var small, big float64
-	e.Go("small", func(p *Proc) {
-		l.Transfer(p, 100)
-		small = p.Now()
-	})
-	e.Go("big", func(p *Proc) {
-		l.Transfer(p, 300)
-		big = p.Now()
-	})
+	spawn(e, 0, transfer(l, 100), do(func() { small = e.Now() }))
+	spawn(e, 0, transfer(l, 300), do(func() { big = e.Now() }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -121,15 +100,8 @@ func TestLinkLateJoiner(t *testing.T) {
 	e := New()
 	l := NewLink(e, "disk", 100, 0)
 	var first, joiner float64
-	e.Go("first", func(p *Proc) {
-		l.Transfer(p, 200)
-		first = p.Now()
-	})
-	e.Go("joiner", func(p *Proc) {
-		p.Wait(1)
-		l.Transfer(p, 50)
-		joiner = p.Now()
-	})
+	spawn(e, 0, transfer(l, 200), do(func() { first = e.Now() }))
+	spawn(e, 0, wait(1), transfer(l, 50), do(func() { joiner = e.Now() }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +116,11 @@ func TestLinkLateJoiner(t *testing.T) {
 func TestLinkBusyTime(t *testing.T) {
 	e := New()
 	l := NewLink(e, "disk", 100, 0)
-	e.Go("a", func(p *Proc) {
-		l.Transfer(p, 100) // busy [0,1]
-		p.Wait(1)          // idle [1,2]
-		l.Transfer(p, 200) // busy [2,4]
-	})
+	spawn(e, 0,
+		transfer(l, 100), // busy [0,1]
+		wait(1),          // idle [1,2]
+		transfer(l, 200), // busy [2,4]
+	)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -193,14 +165,12 @@ func TestLinkConservation(t *testing.T) {
 			if start > lastArrival {
 				lastArrival = start
 			}
-			e.Go("t", func(p *Proc) {
-				p.Wait(start)
-				t0 := p.Now()
-				l.Transfer(p, bytes)
-				if p.Now()-t0 < bytes/bw-1e-6 {
+			var t0 float64
+			spawn(e, 0, wait(start), do(func() { t0 = e.Now() }), transfer(l, bytes), do(func() {
+				if e.Now()-t0 < bytes/bw-1e-6 {
 					ok = false // faster than line rate: impossible
 				}
-			})
+			}))
 		}
 		if err := e.Run(); err != nil {
 			return false

@@ -4,8 +4,8 @@ import "fmt"
 
 // Server is a capacity-constrained resource with a FIFO wait queue. It
 // models CPU cores, GPU devices and the scheduler master thread: at most
-// Capacity processes hold the server at once; further Acquire calls queue in
-// arrival order.
+// Capacity holders occupy the server at once; further Acquire calls queue
+// in arrival order.
 //
 // The wait queue is a head-index ring buffer, so dequeueing a waiter on
 // Release is O(1) instead of sliding the whole slice.
@@ -20,7 +20,7 @@ type Server struct {
 	inUse int
 
 	// FIFO waiters: ring buffer of qlen entries starting at queue[qhead].
-	queue []*Proc
+	queue []*Cont
 	qhead int
 	qlen  int
 
@@ -44,37 +44,41 @@ func (s *Server) Name() string { return s.name }
 // Capacity returns the number of concurrent holders the server admits.
 func (s *Server) Capacity() int { return s.cap }
 
-// InUse returns the number of processes currently holding the server.
+// InUse returns the number of slots currently held.
 func (s *Server) InUse() int { return s.inUse }
 
-// QueueLen returns the number of processes waiting to acquire the server.
+// QueueLen returns the number of continuations waiting to acquire the
+// server.
 func (s *Server) QueueLen() int { return s.qlen }
 
 // Acquired returns the total number of successful acquisitions so far.
 func (s *Server) Acquired() uint64 { return s.acquired }
 
 // qpush appends a waiter to the ring, growing (and linearizing) it when
-// full.
-func (s *Server) qpush(p *Proc) {
+// full. Queued waiters count as parked on the engine until qpop hands them
+// a slot, which is what lets Run diagnose a deadlock.
+func (s *Server) qpush(c *Cont) {
 	if s.qlen == len(s.queue) {
-		grown := make([]*Proc, max(2*len(s.queue), 8))
+		grown := make([]*Cont, max(2*len(s.queue), 8))
 		for i := 0; i < s.qlen; i++ {
 			grown[i] = s.queue[(s.qhead+i)%len(s.queue)]
 		}
 		s.queue = grown
 		s.qhead = 0
 	}
-	s.queue[(s.qhead+s.qlen)%len(s.queue)] = p
+	s.queue[(s.qhead+s.qlen)%len(s.queue)] = c
 	s.qlen++
+	s.eng.parked++
 }
 
 // qpop removes and returns the head waiter.
-func (s *Server) qpop() *Proc {
-	p := s.queue[s.qhead]
+func (s *Server) qpop() *Cont {
+	c := s.queue[s.qhead]
 	s.queue[s.qhead] = nil
 	s.qhead = (s.qhead + 1) % len(s.queue)
 	s.qlen--
-	return p
+	s.eng.parked--
+	return c
 }
 
 func (s *Server) accumulate() {
@@ -83,22 +87,22 @@ func (s *Server) accumulate() {
 	s.lastChange = now
 }
 
-// Acquire blocks the process until a slot is free, then takes it. Slots are
-// granted strictly in arrival order.
-func (s *Server) Acquire(p *Proc) {
+// Acquire takes a slot for c. It reports true when a slot was free now;
+// otherwise c queues and Acquire reports false: slots are granted strictly
+// in arrival order, and c's step runs again once Release has handed it one
+// (the releaser takes the slot on c's behalf, so c owns it when it wakes).
+func (s *Server) Acquire(c *Cont) bool {
 	if s.inUse < s.cap && s.qlen == 0 {
 		s.accumulate()
 		s.inUse++
 		s.acquired++
-		return
+		return true
 	}
-	s.qpush(p)
-	p.park()
-	// The releaser already took the slot on our behalf (see Release), so
-	// nothing to do here: we own a slot when we wake.
+	s.qpush(c)
+	return false
 }
 
-// TryAcquire takes a slot if one is immediately free and no process is
+// TryAcquire takes a slot if one is immediately free and no continuation is
 // queued ahead; it reports whether the acquisition succeeded.
 func (s *Server) TryAcquire() bool {
 	if s.inUse < s.cap && s.qlen == 0 {
@@ -110,9 +114,9 @@ func (s *Server) TryAcquire() bool {
 	return false
 }
 
-// Release frees one slot. If processes are queued, the slot is handed
+// Release frees one slot. If continuations are queued, the slot is handed
 // directly to the head of the queue (so capacity can never be stolen by a
-// later arrival) and that process is woken at the current instant.
+// later arrival) and that continuation resumes at the current instant.
 func (s *Server) Release() {
 	if s.inUse <= 0 {
 		panic(fmt.Sprintf("sim: Release of idle server %q", s.name))
@@ -123,7 +127,7 @@ func (s *Server) Release() {
 		next := s.qpop()
 		s.inUse++ // hand the slot to next before anyone else can take it
 		s.acquired++
-		next.unpark()
+		next.resume()
 	}
 }
 
@@ -136,9 +140,8 @@ func (s *Server) BusyTime() float64 {
 // ServiceLine is a capacity-1 FIFO dispatch gate: anonymous requests line
 // up for the station, and each grant runs the line's onGrant callback
 // engine-side at the grant instant. Unlike Server, a request carries no
-// process — the holder's work is whatever onGrant schedules (typically a
-// process started with GoAfter once the decision's service time elapses) —
-// so queueing for the station costs no goroutine handoffs at all. End
+// continuation — the holder's work is whatever onGrant schedules (typically
+// a continuation started once the decision's service time elapses). End
 // passes the station to the next request via a grant event at the current
 // instant: the exact schedule position a Server's wake-up of that waiter
 // would occupy, so event ordering matches the Acquire/Release protocol it

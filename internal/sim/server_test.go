@@ -12,12 +12,7 @@ func TestServerFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 4; i++ {
 		i := i
-		e.Go("w", func(p *Proc) {
-			s.Acquire(p)
-			order = append(order, i)
-			p.Wait(1)
-			s.Release()
-		})
+		spawn(e, 0, acquire(s), do(func() { order = append(order, i) }), wait(1), do(s.Release))
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -37,14 +32,11 @@ func TestServerCapacity(t *testing.T) {
 	s := NewServer(e, "cpu", 3)
 	maxInUse := 0
 	for i := 0; i < 10; i++ {
-		e.Go("w", func(p *Proc) {
-			s.Acquire(p)
+		spawn(e, 0, acquire(s), do(func() {
 			if s.InUse() > maxInUse {
 				maxInUse = s.InUse()
 			}
-			p.Wait(1)
-			s.Release()
-		})
+		}), wait(1), do(s.Release))
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -65,14 +57,15 @@ func TestServerTryAcquire(t *testing.T) {
 	e := New()
 	s := NewServer(e, "gpu", 1)
 	got := []bool{}
-	e.Go("a", func(p *Proc) {
-		got = append(got, s.TryAcquire()) // true
-		got = append(got, s.TryAcquire()) // false: full
-		p.Wait(1)
-		s.Release()
-		got = append(got, s.TryAcquire()) // true again
-		s.Release()
-	})
+	try := do(func() { got = append(got, s.TryAcquire()) })
+	spawn(e, 0,
+		try, // true
+		try, // false: full
+		wait(1),
+		do(s.Release),
+		try, // true again
+		do(s.Release),
+	)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -86,31 +79,26 @@ func TestServerTryAcquire(t *testing.T) {
 
 func TestServerHandoffNoSteal(t *testing.T) {
 	// A Release with a waiter queued must hand the slot to the waiter even
-	// if another process calls TryAcquire at the same instant afterwards.
+	// if another continuation calls TryAcquire at the same instant
+	// afterwards.
 	e := New()
 	s := NewServer(e, "cpu", 1)
 	var winner string
-	e.Go("holder", func(p *Proc) {
-		s.Acquire(p)
-		p.Wait(1)
-		s.Release()
-	})
-	e.Go("waiter", func(p *Proc) {
-		s.Acquire(p)
+	spawn(e, 0, acquire(s), wait(1), do(s.Release)) // holder
+	spawn(e, 0, acquire(s), do(func() {             // waiter
 		if winner == "" {
 			winner = "waiter"
 		}
 		s.Release()
-	})
-	e.Go("thief", func(p *Proc) {
-		p.Wait(1) // arrives exactly when holder releases
+	}))
+	spawn(e, 0, wait(1), do(func() { // thief: arrives exactly when holder releases
 		if s.TryAcquire() {
 			if winner == "" {
 				winner = "thief"
 			}
 			s.Release()
 		}
-	})
+	}))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -122,12 +110,8 @@ func TestServerHandoffNoSteal(t *testing.T) {
 func TestServerUtilization(t *testing.T) {
 	e := New()
 	s := NewServer(e, "cpu", 2)
-	e.Go("a", func(p *Proc) {
-		s.Acquire(p)
-		p.Wait(2)
-		s.Release()
-	})
-	e.Go("idle", func(p *Proc) { p.Wait(4) })
+	spawn(e, 0, acquire(s), wait(2), do(s.Release))
+	spawn(e, 0, wait(4)) // idle
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -143,14 +127,10 @@ func TestServerUtilization(t *testing.T) {
 func TestServerDeadlockDetected(t *testing.T) {
 	e := New()
 	s := NewServer(e, "cpu", 1)
-	e.Go("a", func(p *Proc) {
-		s.Acquire(p)
-		// never released
-	})
-	e.Go("b", func(p *Proc) {
-		s.Acquire(p) // parks forever
+	spawn(e, 0, acquire(s))             // never released
+	spawn(e, 0, acquire(s), do(func() { // parks forever
 		t.Error("b acquired a never-released server")
-	})
+	}))
 	if err := e.Run(); err == nil {
 		t.Fatal("deadlock not detected")
 	}
@@ -180,16 +160,14 @@ func TestServerCapacityInvariant(t *testing.T) {
 		for i := 0; i < n; i++ {
 			hold := rng.Float64() * 2
 			start := rng.Float64() * 2
-			e.Go("w", func(p *Proc) {
-				p.Wait(start)
-				s.Acquire(p)
+			spawn(e, 0, wait(start), acquire(s), do(func() {
 				if s.InUse() > capacity {
 					ok = false
 				}
-				p.Wait(hold)
+			}), wait(hold), do(func() {
 				s.Release()
 				completed++
-			})
+			}))
 		}
 		if err := e.Run(); err != nil {
 			return false

@@ -169,37 +169,45 @@ func TestStaleHandleAfterRecycle(t *testing.T) {
 	}
 }
 
-// TestProcPoolReuse drives enough sequential process churn that Go must
-// reuse pooled goroutines, and checks the simulation stays correct and the
-// pool is torn down at Run exit.
-func TestProcPoolReuse(t *testing.T) {
+// TestContRestart drives one continuation through a long run of
+// generations — each finishes, then restarts itself from a plain event — and
+// checks the simulation stays correct on the reused node, that a queued
+// resume from a Server counts as parked until its grant, and that nothing
+// is left parked or pending at Run exit.
+func TestContRestart(t *testing.T) {
 	e := New()
+	srv := NewServer(e, "cpu", 1)
 	ran := 0
-	// Chain of short-lived processes: each finishes before spawning the
-	// next, so every generation after the first reuses the pooled Proc.
-	var spawn func()
-	spawn = func() {
-		e.Go("gen", func(p *Proc) {
-			p.Wait(0.1)
-			ran++
-			if ran < 50 {
-				e.Schedule(0.1, spawn)
-			}
-		})
+	var ch *chain
+	restart := func() {
+		ch.pc = 0
+		ch.c.Start(0)
 	}
-	spawn()
+	ch = spawn(e, 0, wait(0.1), acquire(srv), do(func() {
+		ran++
+		if ran == 1 {
+			// A second chain queues behind this holder across the restart.
+			spawn(e, 0, acquire(srv), do(func() {
+				if e.parked != 0 {
+					t.Errorf("parked = %d once granted, want 0", e.parked)
+				}
+				srv.Release()
+			}))
+		}
+	}), wait(0.05), do(func() {
+		srv.Release()
+		if ran < 50 {
+			e.Schedule(0.1, restart)
+		}
+	}))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if ran != 50 {
 		t.Fatalf("ran = %d, want 50", ran)
 	}
-	if len(e.freeProcs) != 0 {
-		t.Fatalf("freeProcs = %d after Run, want 0 (pool torn down)", len(e.freeProcs))
-	}
-	if e.liveProcs != 0 || e.parkedProcs != 0 {
-		t.Fatalf("liveProcs = %d, parkedProcs = %d after Run, want 0, 0",
-			e.liveProcs, e.parkedProcs)
+	if e.parked != 0 || e.Pending() != 0 {
+		t.Fatalf("parked = %d, pending = %d after Run, want 0, 0", e.parked, e.Pending())
 	}
 }
 
@@ -213,13 +221,13 @@ func TestServerQueueWraparound(t *testing.T) {
 	var grants []int
 	for i := 0; i < n; i++ {
 		i := i
-		e.Go("w", func(p *Proc) {
-			p.Wait(float64(i) * 1e-3) // staggered arrivals: deterministic queue order
-			srv.Acquire(p)
-			grants = append(grants, i)
-			p.Wait(1) // hold long enough that everyone queues
-			srv.Release()
-		})
+		spawn(e, 0,
+			wait(float64(i)*1e-3), // staggered arrivals: deterministic queue order
+			acquire(srv),
+			do(func() { grants = append(grants, i) }),
+			wait(1), // hold long enough that everyone queues
+			do(srv.Release),
+		)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -246,9 +254,7 @@ func TestServerQueueWraparound(t *testing.T) {
 func TestLinkLatencyOnlyBusyTime(t *testing.T) {
 	e := New()
 	l := NewLink(e, "gpfs", 100, 0.5)
-	e.Go("t", func(p *Proc) {
-		l.Transfer(p, 0) // latency-only: busy [0, 0.5]
-	})
+	spawn(e, 0, transfer(l, 0)) // latency-only: busy [0, 0.5]
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -266,9 +272,7 @@ func TestLinkOverlappingLatencyBusyTime(t *testing.T) {
 	e := New()
 	l := NewLink(e, "gpfs", 100, 0.5)
 	for i := 0; i < 3; i++ {
-		e.Go("t", func(p *Proc) {
-			l.Transfer(p, 0)
-		})
+		spawn(e, 0, transfer(l, 0))
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -283,11 +287,11 @@ func TestLinkOverlappingLatencyBusyTime(t *testing.T) {
 func TestLinkLatencyThenFlowBusyTime(t *testing.T) {
 	e := New()
 	l := NewLink(e, "disk", 100, 0.25)
-	e.Go("t", func(p *Proc) {
-		l.Transfer(p, 100) // latency [0,0.25] + flow [0.25,1.25]
-		p.Wait(1)          // idle [1.25,2.25]
-		l.Transfer(p, 0)   // latency [2.25,2.5]
-	})
+	spawn(e, 0,
+		transfer(l, 100), // latency [0,0.25] + flow [0.25,1.25]
+		wait(1),          // idle [1.25,2.25]
+		transfer(l, 0),   // latency [2.25,2.5]
+	)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -296,8 +300,8 @@ func TestLinkLatencyThenFlowBusyTime(t *testing.T) {
 	}
 }
 
-// TestPoolChurnDeterminism runs a workload with heavy event/flow/proc
-// pooling twice and demands identical timestamps — pooling must be
+// TestPoolChurnDeterminism runs a workload with heavy event/flow pooling
+// twice and demands identical timestamps — pooling must be
 // invisible to the simulation.
 func TestPoolChurnDeterminism(t *testing.T) {
 	run := func() []float64 {
@@ -306,15 +310,14 @@ func TestPoolChurnDeterminism(t *testing.T) {
 		srv := NewServer(e, "cpu", 3)
 		link := NewLink(e, "net", 1000, 0.001)
 		for w := 0; w < 4; w++ {
-			e.Go("w", func(p *Proc) {
-				for i := 0; i < 10; i++ {
-					srv.Acquire(p)
-					link.Transfer(p, 100*float64(i+1))
-					p.Wait(0.01)
+			var ops []op
+			for i := 0; i < 10; i++ {
+				ops = append(ops, acquire(srv), transfer(link, 100*float64(i+1)), wait(0.01), do(func() {
 					srv.Release()
-					stamps = append(stamps, p.Now())
-				}
-			})
+					stamps = append(stamps, e.Now())
+				}))
+			}
+			spawn(e, 0, ops...)
 		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)

@@ -15,6 +15,11 @@
 // crosses the reader's NIC and the cluster-wide GPFS backend pipe, adding
 // the network latency and resource contention the paper attributes to
 // shared disks.
+//
+// A System decides where bytes go, not when: Read and Write return the
+// Path of contended links an access streams through, and the caller drives
+// its own continuation across the legs in order (sim.Link.Transfer), then
+// records a written block with Place the instant the last leg completes.
 package storage
 
 import (
@@ -42,27 +47,47 @@ func (a Architecture) String() string {
 	return "shared disk"
 }
 
+// MaxLegs bounds the links one block access traverses: a remote local-disk
+// read streams owner disk → owner NIC → reader NIC.
+const MaxLegs = 3
+
+// Path is the ordered chain of links one block access streams through, each
+// leg transferring the block's full size after the previous one completes.
+type Path struct {
+	Links [MaxLegs]*sim.Link
+	N     int // legs in use: Links[:N]
+}
+
+// PathOf builds a Path over the given legs, in streaming order.
+func PathOf(legs ...*sim.Link) Path {
+	var p Path
+	p.N = copy(p.Links[:], legs)
+	return p
+}
+
 // System is a simulated storage architecture.
 type System interface {
 	// Arch identifies the architecture.
 	Arch() Architecture
-	// Place records the initial location of a block (Local) or its
-	// presence on the backend (Shared). Node is ignored for Shared.
+	// Place records the location of a block (Local) or its presence on the
+	// backend (Shared): its initial placement, and the commit of a write or
+	// re-stage once the access's last leg completes. Node is ignored for
+	// Shared.
 	Place(id int32, node int)
 	// Location returns the node holding the block and true, or -1 and
 	// false when the block has no node affinity (shared storage or
 	// unknown block). The data-locality scheduler uses this.
 	Location(id int32) (int, bool)
-	// Read streams the block's bytes to the reader node, blocking p in
-	// virtual time, and returns the I/O duration. A block the system has
-	// no record of is an explicit miss: Read returns (0, false) without
-	// simulating any I/O. In a fault-free run a miss is a placement bug
-	// (the runtime asserts on it); under fault injection it means the
-	// block died with a node's local disk and must be recovered.
-	Read(p *sim.Proc, reader *cluster.Node, id int32, bytes float64) (float64, bool)
-	// Write streams bytes from the writer node to storage, records the
-	// new block location, and returns the I/O duration.
-	Write(p *sim.Proc, writer *cluster.Node, id int32, bytes float64) float64
+	// Read returns the path the block's bytes stream through to reach the
+	// reader node. A block the system has no record of is an explicit
+	// miss: Read returns (Path{}, false). In a fault-free run a miss is a
+	// placement bug (the runtime asserts on it); under fault injection it
+	// means the block died with a node's local disk and must be recovered.
+	Read(reader *cluster.Node, id int32) (Path, bool)
+	// Write returns the path a block streams through from the writer node
+	// into storage. The caller commits the block's new location with Place
+	// when the last leg completes.
+	Write(writer *cluster.Node) Path
 	// Invalidate discards every block whose only copy lives on the given
 	// node (a crash takes the node's local disk with it) and returns the
 	// number of blocks lost. Shared storage survives node loss untouched
@@ -118,21 +143,16 @@ func (l *LocalDisks) Location(id int32) (int, bool) {
 // An unplaced block is a miss, not a free local hit — silently treating it
 // as local scratch masked placement bugs and made lost blocks
 // unobservable.
-func (l *LocalDisks) Read(p *sim.Proc, reader *cluster.Node, id int32, bytes float64) (float64, bool) {
+func (l *LocalDisks) Read(reader *cluster.Node, id int32) (Path, bool) {
 	owner, ok := l.Location(id)
 	if !ok {
-		return 0, false
+		return Path{}, false
 	}
-	start := p.Now()
 	if owner == reader.ID {
-		reader.Disk.Transfer(p, bytes)
-	} else {
-		ownerNode := l.c.Node(owner)
-		ownerNode.Disk.Transfer(p, bytes)
-		ownerNode.NIC.Transfer(p, bytes)
-		reader.NIC.Transfer(p, bytes)
+		return PathOf(reader.Disk), true
 	}
-	return p.Now() - start, true
+	ownerNode := l.c.Node(owner)
+	return PathOf(ownerNode.Disk, ownerNode.NIC, reader.NIC), true
 }
 
 // Invalidate implements System: a crashed node's disk contents are gone.
@@ -156,13 +176,7 @@ func (l *LocalDisks) Drop(id int32) {
 
 // Write implements System. Output blocks land on the writer's local disk,
 // which is what makes locality scheduling matter downstream.
-func (l *LocalDisks) Write(p *sim.Proc, writer *cluster.Node, id int32, bytes float64) float64 {
-	start := p.Now()
-	writer.Disk.Transfer(p, bytes)
-	l.grow(id)
-	l.loc[id] = int32(writer.ID)
-	return p.Now() - start
-}
+func (l *LocalDisks) Write(writer *cluster.Node) Path { return PathOf(writer.Disk) }
 
 // SharedDisk is the GPFS-style decoupled architecture.
 type SharedDisk struct {
@@ -199,14 +213,11 @@ func (s *SharedDisk) Location(id int32) (int, bool) { return -1, false }
 
 // Read implements System: reader NIC + shared backend, both contended.
 // A block never written to the backend is a miss.
-func (s *SharedDisk) Read(p *sim.Proc, reader *cluster.Node, id int32, bytes float64) (float64, bool) {
+func (s *SharedDisk) Read(reader *cluster.Node, id int32) (Path, bool) {
 	if int(id) >= len(s.known) || !s.known[id] {
-		return 0, false
+		return Path{}, false
 	}
-	start := p.Now()
-	reader.NIC.Transfer(p, bytes)
-	s.c.Shared.Transfer(p, bytes)
-	return p.Now() - start, true
+	return PathOf(reader.NIC, s.c.Shared), true
 }
 
 // Invalidate implements System: the decoupled backend survives node loss.
@@ -215,15 +226,8 @@ func (s *SharedDisk) Invalidate(node int) int { return 0 }
 // Drop implements System: shared writes are durable once issued.
 func (s *SharedDisk) Drop(id int32) {}
 
-// Write implements System.
-func (s *SharedDisk) Write(p *sim.Proc, writer *cluster.Node, id int32, bytes float64) float64 {
-	start := p.Now()
-	writer.NIC.Transfer(p, bytes)
-	s.c.Shared.Transfer(p, bytes)
-	s.grow(id)
-	s.known[id] = true
-	return p.Now() - start
-}
+// Write implements System: writer NIC + shared backend.
+func (s *SharedDisk) Write(writer *cluster.Node) Path { return PathOf(writer.NIC, s.c.Shared) }
 
 // New constructs the architecture selected by arch, pre-sized for numData
 // distinct datum IDs.

@@ -21,18 +21,63 @@ func buildCluster(t *testing.T) (*sim.Engine, *cluster.Cluster) {
 	return eng, c
 }
 
+// access is the tests' step-chain driver for one block access: a
+// continuation that streams bytes across every leg of a path in order and
+// calls done with the access's duration the instant the last leg completes.
+type access struct {
+	c     sim.Cont
+	eng   *sim.Engine
+	path  Path
+	leg   int
+	bytes float64
+	start float64
+	done  func(d float64)
+}
+
+func (a *access) step() {
+	if a.leg == 0 {
+		a.start = a.eng.Now()
+	}
+	for a.leg < a.path.N {
+		l := a.path.Links[a.leg]
+		a.leg++
+		if !l.Transfer(&a.c, a.bytes) {
+			return
+		}
+	}
+	if a.done != nil {
+		a.done(a.eng.Now() - a.start)
+	}
+}
+
+// stream starts an access of bytes over p after delay seconds.
+func stream(eng *sim.Engine, delay float64, p Path, bytes float64, done func(d float64)) {
+	a := &access{eng: eng, path: p, bytes: bytes, done: done}
+	eng.Bind(&a.c, a.step)
+	a.c.Start(delay)
+}
+
+// read streams a located block, failing the test on a miss.
+func read(t *testing.T, eng *sim.Engine, sys System, delay float64, reader *cluster.Node, id int32, bytes float64, done func(d float64)) {
+	t.Helper()
+	p, ok := sys.Read(reader, id)
+	if !ok {
+		t.Fatalf("block %d not located", id)
+	}
+	stream(eng, delay, p, bytes, done)
+}
+
 func TestLocalReadLocalVsRemote(t *testing.T) {
 	eng, c := buildCluster(t)
 	sys := NewLocal(c, 4)
 	sys.Place(blk, 0)
 	var localT, remoteT float64
-	eng.Go("local", func(p *sim.Proc) {
-		localT, _ = sys.Read(p, c.Node(0), blk, 100e6)
-	})
-	eng.Go("remote", func(p *sim.Proc) {
-		p.Wait(10) // avoid contention with the local read
-		remoteT, _ = sys.Read(p, c.Node(1), blk, 100e6)
-	})
+	read(t, eng, sys, 0, c.Node(0), blk, 100e6, func(d float64) { localT = d })
+	// Starts later to avoid contention with the local read.
+	read(t, eng, sys, 10, c.Node(1), blk, 100e6, func(d float64) { remoteT = d })
+	if p, _ := sys.Read(c.Node(1), blk); p.N != 3 {
+		t.Fatalf("remote read path has %d legs, want 3 (owner disk, owner NIC, reader NIC)", p.N)
+	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +93,15 @@ func TestLocalWriteRelocates(t *testing.T) {
 	eng, c := buildCluster(t)
 	sys := NewLocal(c, 4)
 	sys.Place(blk, 0)
-	eng.Go("w", func(p *sim.Proc) {
-		sys.Write(p, c.Node(3), blk, 1e6)
-	})
+	stream(eng, 0, sys.Write(c.Node(3)), 1e6, func(float64) { sys.Place(blk, 3) })
+	if n, _ := sys.Location(blk); n != 0 {
+		t.Fatalf("location = %d before the write completed, want 0", n)
+	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if c.Node(3).Disk.BytesMoved() != 1e6 {
+		t.Fatalf("writer disk moved %v bytes, want 1e6", c.Node(3).Disk.BytesMoved())
 	}
 	n, ok := sys.Location(blk)
 	if !ok || n != 3 {
@@ -63,41 +112,26 @@ func TestLocalWriteRelocates(t *testing.T) {
 func TestLocalUnknownKeyIsMiss(t *testing.T) {
 	// Regression: an unplaced block used to be silently served as a free
 	// "local scratch" hit, masking placement bugs and making lost blocks
-	// unobservable. It must be an explicit miss with zero simulated I/O.
-	eng, c := buildCluster(t)
+	// unobservable. It must be an explicit miss with no I/O path.
+	_, c := buildCluster(t)
 	sys := NewLocal(c, 4)
 	if _, ok := sys.Location(int32(9)); ok {
 		t.Fatal("unknown key located")
 	}
-	var d float64
-	ok := true
-	eng.Go("r", func(p *sim.Proc) {
-		d, ok = sys.Read(p, c.Node(2), int32(9), 1e6)
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	p, ok := sys.Read(c.Node(2), int32(9))
 	if ok {
 		t.Fatal("unknown block read reported a hit")
 	}
-	if d != 0 {
-		t.Fatalf("miss cost %v seconds of I/O, want 0", d)
+	if p.N != 0 {
+		t.Fatalf("miss streams through %d links, want 0", p.N)
 	}
 }
 
 func TestSharedUnknownKeyIsMiss(t *testing.T) {
-	eng, c := buildCluster(t)
+	_, c := buildCluster(t)
 	sys := NewShared(c, 4)
-	var d float64
-	ok := true
-	eng.Go("r", func(p *sim.Proc) {
-		d, ok = sys.Read(p, c.Node(0), int32(9), 1e6)
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ok || d != 0 {
-		t.Fatalf("unknown shared block read = (%v, %v), want (0, false)", d, ok)
+	if p, ok := sys.Read(c.Node(0), int32(9)); ok || p.N != 0 {
+		t.Fatalf("unknown shared block read = (%d legs, %v), want (0, false)", p.N, ok)
 	}
 }
 
@@ -123,21 +157,14 @@ func TestLocalInvalidateAndDrop(t *testing.T) {
 }
 
 func TestSharedSurvivesInvalidate(t *testing.T) {
-	eng, c := buildCluster(t)
+	_, c := buildCluster(t)
 	sys := NewShared(c, 4)
 	sys.Place(blk, 0)
 	if lost := sys.Invalidate(0); lost != 0 {
 		t.Fatalf("shared Invalidate lost %d blocks, want 0", lost)
 	}
 	sys.Drop(blk) // durable: must be a no-op
-	ok := false
-	eng.Go("r", func(p *sim.Proc) {
-		_, ok = sys.Read(p, c.Node(1), blk, 1e6)
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
+	if _, ok := sys.Read(c.Node(1), blk); !ok {
 		t.Fatal("shared block lost across node invalidation")
 	}
 }
@@ -150,9 +177,7 @@ func TestSharedNoAffinity(t *testing.T) {
 		t.Fatal("shared storage must report no node affinity")
 	}
 	var d float64
-	eng.Go("r", func(p *sim.Proc) {
-		d, _ = sys.Read(p, c.Node(1), blk, 50e6)
-	})
+	read(t, eng, sys, 0, c.Node(1), blk, 50e6, func(dd float64) { d = dd })
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -176,15 +201,15 @@ func TestSharedContention(t *testing.T) {
 		s2 := NewShared(c2, 4)
 		s2.Place(int32(0), 0)
 		var d float64
-		e2.Go("r", func(p *sim.Proc) { d, _ = s2.Read(p, c2.Node(0), int32(0), 500e6) })
+		read(t, e2, s2, 0, c2.Node(0), int32(0), 500e6, func(dd float64) { d = dd })
 		if err := e2.Run(); err != nil {
 			t.Fatal(err)
 		}
 		return d
 	}()
 	var d1, d2 float64
-	eng.Go("a", func(p *sim.Proc) { d1, _ = sys.Read(p, c.Node(0), int32(0), 500e6) })
-	eng.Go("b", func(p *sim.Proc) { d2, _ = sys.Read(p, c.Node(1), int32(1), 500e6) })
+	read(t, eng, sys, 0, c.Node(0), int32(0), 500e6, func(d float64) { d1 = d })
+	read(t, eng, sys, 0, c.Node(1), int32(1), 500e6, func(d float64) { d2 = d })
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +225,7 @@ func TestSharedSlowerThanLocalHit(t *testing.T) {
 	local := NewLocal(cL, 4)
 	local.Place(blk, 0)
 	var tLocal float64
-	engL.Go("r", func(p *sim.Proc) { tLocal, _ = local.Read(p, cL.Node(0), blk, 200e6) })
+	read(t, engL, local, 0, cL.Node(0), blk, 200e6, func(d float64) { tLocal = d })
 	if err := engL.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +233,7 @@ func TestSharedSlowerThanLocalHit(t *testing.T) {
 	shared := NewShared(cS, 4)
 	shared.Place(blk, 0)
 	var tShared float64
-	engS.Go("r", func(p *sim.Proc) { tShared, _ = shared.Read(p, cS.Node(0), blk, 200e6) })
+	read(t, engS, shared, 0, cS.Node(0), blk, 200e6, func(d float64) { tShared = d })
 	if err := engS.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -223,10 +248,9 @@ func TestSharedSlowerThanLocalHit(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		i := i
 		local2.Place(key(i), i)
-		engL2.Go("r", func(p *sim.Proc) {
-			local2.Read(p, cL2.Node(i), key(i), 500e6)
-			if p.Now() > endL {
-				endL = p.Now()
+		read(t, engL2, local2, 0, cL2.Node(i), key(i), 500e6, func(float64) {
+			if engL2.Now() > endL {
+				endL = engL2.Now()
 			}
 		})
 	}
@@ -239,10 +263,9 @@ func TestSharedSlowerThanLocalHit(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		i := i
 		shared2.Place(key(i), 0)
-		engS2.Go("r", func(p *sim.Proc) {
-			shared2.Read(p, cS2.Node(i), key(i), 500e6)
-			if p.Now() > endS {
-				endS = p.Now()
+		read(t, engS2, shared2, 0, cS2.Node(i), key(i), 500e6, func(float64) {
+			if engS2.Now() > endS {
+				endS = engS2.Now()
 			}
 		})
 	}

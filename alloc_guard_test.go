@@ -33,13 +33,13 @@ func simAllocs(t *testing.T, iterations int, cfg wfsim.SimConfig) float64 {
 // lifecycle pool's warm-up) cancel out — and fails if the hot path
 // regresses past a small fixed budget.
 //
-// Measured at 0.20 allocations per task (64 blocks), and none of them is
+// Measured at 0.07 allocations per task (64 blocks), and none of them is
 // per task: about 4 per Lloyd iteration come from the build (the next
 // centers' name, the partial-sum range record, amortized table growth;
-// 0.07 per task, see TestBuildAllocBudget) and about 8 per iteration from
-// the simulation, spread over the iteration's 65 tasks. The budget leaves
-// headroom for noise, not for regressions: if this fails, something on the
-// per-task path started allocating.
+// see TestBuildAllocBudget), spread over the iteration's 65 tasks. The
+// simulation adds next to none now that it reads level widths off the
+// graph instead of rebuilding the level lists per run. The budget leaves headroom for noise, not for regressions: if
+// this fails, something on the per-task path started allocating.
 //
 // Both environments must hold the budget: the default shared-disk FIFO
 // path, and the local-disk locality path that exercises the placement
@@ -186,54 +186,83 @@ func TestSimAllocBudget(t *testing.T) {
 }
 
 // buildCost returns the heap allocations and bytes of one K-means build at
-// the given grid and iteration count, averaged over a few builds.
-func buildCost(t *testing.T, grid int64, iterations int) (mallocs, bytes float64) {
+// the given grid and iteration count, averaged over a few builds. With
+// validate set it measures the first Workflow.Validate of each build and
+// the first Levels query instead of the build itself: the graph tables
+// built on first use.
+func buildCost(t *testing.T, grid int64, iterations int, validate bool) (mallocs, bytes float64) {
 	t.Helper()
 	const runs = 3
-	build := func() {
-		if _, err := wfsim.BuildKMeans(wfsim.KMeansConfig{
+	build := func() *wfsim.Workflow {
+		wf, err := wfsim.BuildKMeans(wfsim.KMeansConfig{
 			Dataset: wfsim.Datasets.KMeansSmall, Grid: grid, Clusters: 10,
 			Iterations: iterations,
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
+		return wf
 	}
 	build()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	var before, after, mid runtime.MemStats
+	var total, totalMallocs uint64
 	for i := 0; i < runs; i++ {
-		build()
+		runtime.ReadMemStats(&before)
+		wf := build()
+		runtime.ReadMemStats(&mid)
+		if err := wf.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		wf.Graph.Levels()
+		runtime.ReadMemStats(&after)
+		if validate {
+			total += after.TotalAlloc - mid.TotalAlloc
+			totalMallocs += after.Mallocs - mid.Mallocs
+		} else {
+			total += mid.TotalAlloc - before.TotalAlloc
+			totalMallocs += mid.Mallocs - before.Mallocs
+		}
 	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / runs,
-		float64(after.TotalAlloc-before.TotalAlloc) / runs
+	return float64(totalMallocs) / runs, float64(total) / runs
+}
+
+// marginalCost is the per-task difference of buildCost between a deep
+// and a shallow 256-block K-means, so per-build fixed costs cancel.
+func marginalCost(t *testing.T, validate bool) (mallocs, bytes float64) {
+	t.Helper()
+	const (
+		grid         = 256
+		shallowIters = 2
+		deepIters    = 12
+	)
+	m0, b0 := buildCost(t, grid, shallowIters, validate)
+	m1, b1 := buildCost(t, grid, deepIters, validate)
+	tasks := float64((grid + 1) * (deepIters - shallowIters))
+	return (m1 - m0) / tasks, (b1 - b0) / tasks
 }
 
 // TestBuildAllocBudget is the DAG-build counterpart of TestSimAllocBudget:
 // the marginal heap allocations and bytes per task of building a 256-block
 // K-means, between 2 and 12 iterations so per-build fixed costs cancel.
 //
-// An ID-first build allocates nothing per task: tasks, parameters,
-// dependency lists and per-datum tables come from slabs, each iteration's
-// partial sums are one reserved ID range whose names are never rendered,
-// and every partial_sum shares one stored TaskSpec. What remains per task
-// is its share of those slabs, about 240 bytes: the Task itself (136 B),
-// 12 B per parameter, a spec index and one datum's bookkeeping. Building
-// one name string per partial sum, one map entry per datum or one TaskSpec
-// copy per task (about 1 allocation and 495 bytes per task) fails both
-// budgets.
+// An ID-first build into the compact graph allocates nothing per task:
+// the graph's per-task columns and flat parameter and dependency arrays,
+// the per-datum tables and the workflow's spec and size tables are each
+// one array sized by Hint, each iteration's partial sums are one reserved
+// ID range whose names are never rendered, and every partial_sum shares
+// one stored TaskSpec. What remains per task is its share of those
+// arrays, measured at 70 bytes: 14 B of graph columns, 5 B per parameter,
+// 4 B per edge, a 4 B spec index and one datum's bookkeeping. The Task
+// slab the graph used to keep (136 B a task, 12 B per parameter, 8 B per
+// edge) measured 240 bytes and fails the byte budget; one name string per
+// partial sum, one map entry per datum or one TaskSpec copy per task
+// fails both budgets.
 func TestBuildAllocBudget(t *testing.T) {
 	const (
-		grid         = 256
-		shallowIters = 2
-		deepIters    = 12
-		mallocBudget = 0.1   // per task
-		bytesBudget  = 320.0 // per task
+		mallocBudget = 0.1  // per task
+		bytesBudget  = 90.0 // per task, ~1.3× observed
 	)
-	m0, b0 := buildCost(t, grid, shallowIters)
-	m1, b1 := buildCost(t, grid, deepIters)
-	tasks := float64((grid + 1) * (deepIters - shallowIters))
-	mallocs, bytes := (m1-m0)/tasks, (b1-b0)/tasks
+	mallocs, bytes := marginalCost(t, false)
 	t.Logf("marginal per task: %.3f mallocs, %.0f bytes (budgets %v, %v)",
 		mallocs, bytes, mallocBudget, bytesBudget)
 	if mallocs > mallocBudget {
@@ -241,5 +270,23 @@ func TestBuildAllocBudget(t *testing.T) {
 	}
 	if bytes > bytesBudget {
 		t.Errorf("build allocates %.0f bytes per task, budget %v", bytes, bytesBudget)
+	}
+}
+
+// TestValidateAllocBudget guards the graph tables built on first use,
+// which TestBuildAllocBudget does not see: the marginal bytes per task of
+// a workflow's first Validate (which builds the successor table) and its
+// first Levels query (the per-level task lists). Both are
+// compressed-sparse-row tables of int32s, measured at 17.4 bytes a task:
+// 4 B of offsets and 4 B per edge (about two a task) for successors, 4 B
+// for levels. Validate itself must allocate nothing per task on a valid
+// workflow: a per-task int32 cursor or seen-set, or successor and level
+// tables of ints, fails the budget.
+func TestValidateAllocBudget(t *testing.T) {
+	const bytesBudget = 21.0 // per task, ~1.2× observed
+	mallocs, bytes := marginalCost(t, true)
+	t.Logf("marginal per task: %.3f mallocs, %.1f bytes (budget %v)", mallocs, bytes, bytesBudget)
+	if bytes > bytesBudget {
+		t.Errorf("first Validate and Levels allocate %.1f bytes per task, budget %v", bytes, bytesBudget)
 	}
 }

@@ -393,13 +393,16 @@ func BenchmarkSimWorkflowLarge(b *testing.B) {
 // across iterations. Pending events peak at 4,096 on this run, so the
 // engine's 4-ary heap stays seven levels deep even at this scale.
 //
-// The DAG build is ID-first (DESIGN.md §9, §12) and every task lifecycle
-// is an engine-driven continuation rather than a coroutine: one
-// -benchtime 1x iteration measured about 5.1 s/op, 369 MB/op and 9.4 K
-// allocs/op, against about 9.4 s/op, 386 MB/op and 19.9 K allocs/op with
-// coroutine processes (2-vCPU Xeon VM, Go 1.24, -cpu 2, three alternating
-// runs each). The engine dispatches 37,324,398 events on this run, and
-// 1,013,108 waits advance the clock in place.
+// The DAG build is ID-first into the compact struct-of-arrays graph
+// (DESIGN.md §9, §12) and every task lifecycle is an engine-driven
+// continuation rather than a coroutine: one -benchtime 1x iteration
+// measured 141 MB/op and 5.1 K allocs/op at about 5.0 s/op, against
+// 369 MB/op, 9.4 K allocs/op and about 4.8 s/op with a Task slab (time
+// within noise), and about 9.4 s/op, 386 MB/op and 19.9 K allocs/op with
+// coroutine processes (2-vCPU Xeon VM, Go 1.24, -cpu 2, five alternating
+// runs each). The engine dispatches 37,324,398 events on this run,
+// 13,760,306 of them from the zero-delay ring, and 1,013,108 waits
+// advance the clock in place.
 func BenchmarkSimWorkflowHuge(b *testing.B) {
 	b.ReportAllocs()
 	var arena wfsim.Arena
@@ -436,10 +439,13 @@ func BenchmarkSimWorkflowHuge(b *testing.B) {
 
 // BenchmarkDAGBuild isolates workflow construction — task generation,
 // datum ID assignment, dependency wiring — without simulating anything: a
-// 256-block, 5-iteration K-means (1,285 tasks). Measured at 61 allocs/op,
-// 333 KB/op and about 0.34 ms/op, down from 1,577 allocs/op, 738 KB/op
-// and about 0.67 ms/op before the build went ID-first (2-vCPU Xeon VM,
-// Go 1.24, -cpu 2, three alternating runs each).
+// 256-block, 5-iteration K-means (1,285 tasks). Measured at 97 KB/op,
+// 70 allocs/op and about 0.33 ms/op into the compact graph, against
+// 333 KB/op, 61 allocs/op and about 0.38 ms/op with a Task slab (the
+// graph now has more arrays than it had slabs), and
+// 738 KB/op, 1,577 allocs/op and about 0.67 ms/op before the build went
+// ID-first (2-vCPU Xeon VM, Go 1.24, -cpu 2, three alternating runs
+// each).
 func BenchmarkDAGBuild(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

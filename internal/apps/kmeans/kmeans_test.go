@@ -45,8 +45,8 @@ func TestIterationDependency(t *testing.T) {
 		t.Fatalf("levels = %d, want 4", len(levels))
 	}
 	for _, id := range levels[2] {
-		if wf.Graph.Task(id).Name != "partial_sum" {
-			t.Fatalf("level 2 contains %s", wf.Graph.Task(id).Name)
+		if name := wf.Graph.Name(int(id)); name != "partial_sum" {
+			t.Fatalf("level 2 contains %s", name)
 		}
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 )
 
-func unit(*Task) float64 { return 1 }
+func unit(int) float64 { return 1 }
 
 func TestCriticalPathUnitWeightsEqualsHeight(t *testing.T) {
 	g := New()
@@ -30,12 +30,12 @@ func TestCriticalPathWeighted(t *testing.T) {
 	g.Add("chain2", Param{Data: g.Datum("a"), Dir: In}, Param{Data: g.Datum("b"), Dir: Out})
 	g.Add("chain3", Param{Data: g.Datum("b"), Dir: In})
 	heavy := g.Add("heavy", Param{Data: g.Datum("c"), Dir: Out})
-	weights := map[int]float64{0: 1, 1: 1, 2: 1, heavy.ID: 10}
-	path, length := g.CriticalPath(func(t *Task) float64 { return weights[t.ID] })
+	weights := map[int]float64{0: 1, 1: 1, 2: 1, heavy: 10}
+	path, length := g.CriticalPath(func(id int) float64 { return weights[id] })
 	if length != 10 {
 		t.Fatalf("length = %v, want 10", length)
 	}
-	if len(path) != 1 || path[0] != heavy.ID {
+	if len(path) != 1 || path[0] != heavy {
 		t.Fatalf("path = %v, want [heavy]", path)
 	}
 }
@@ -51,11 +51,11 @@ func TestTotalWeight(t *testing.T) {
 	g := New()
 	g.Add("a", Param{Data: g.Datum("x"), Dir: Out})
 	g.Add("b", Param{Data: g.Datum("x"), Dir: In})
-	if got := g.TotalWeight(func(*Task) float64 { return 2.5 }); got != 5 {
+	if got := g.TotalWeight(func(int) float64 { return 2.5 }); got != 5 {
 		t.Fatalf("total = %v, want 5", got)
 	}
 	// Negative weights are clamped to zero.
-	if got := g.TotalWeight(func(*Task) float64 { return -1 }); got != 0 {
+	if got := g.TotalWeight(func(int) float64 { return -1 }); got != 0 {
 		t.Fatalf("negative-weight total = %v, want 0", got)
 	}
 }
@@ -77,12 +77,12 @@ func TestCriticalPathProperties(t *testing.T) {
 			}
 			task := g.Add("t", params...)
 			w := rng.Float64()*5 + 0.1
-			weights[task.ID] = w
+			weights[task] = w
 			if w > maxW {
 				maxW = w
 			}
 		}
-		wfn := func(t *Task) float64 { return weights[t.ID] }
+		wfn := func(id int) float64 { return weights[id] }
 		path, length := g.CriticalPath(wfn)
 		if length < maxW-1e-9 || length > g.TotalWeight(wfn)+1e-9 {
 			return false
@@ -95,8 +95,8 @@ func TestCriticalPathProperties(t *testing.T) {
 				continue
 			}
 			found := false
-			for _, d := range g.Task(id).Deps() {
-				if d == path[i-1] {
+			for _, d := range g.Deps(id) {
+				if int(d) == path[i-1] {
 					found = true
 				}
 			}

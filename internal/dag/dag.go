@@ -22,11 +22,27 @@
 // bookkeeping here (last writers, version counts) and in every layer below
 // (workflow sizes, storage locations, locality scoring) is indexed by
 // datum ID.
+//
+// Tasks are dense int IDs too, assigned by Add in generation order. The
+// graph stores them as parallel columns rather than as task objects: a
+// task-type index, an int32 level, and offsets into one flat parameter
+// store (datum IDs and directions) and one flat dependency array.
+// Successor lists and per-level task lists are compressed-sparse-row
+// tables built on first use, and per-level widths are counted as tasks
+// are added, so MaxWidth and MaxHeight never build the level lists. The
+// layout costs about 22 bytes a task plus 5 a parameter and 8 an edge,
+// and holds no pointers for the garbage collector to scan. Callers read
+// the graph through ID accessors (Deps, Succs, Params, DataIDs, Level,
+// Name); Task is a read-only per-task view for code that wants one value
+// per task, and is never built on the simulation path.
 package dag
 
 import (
 	"fmt"
 	"io"
+	"iter"
+	"math"
+	"slices"
 	"strings"
 )
 
@@ -56,8 +72,14 @@ func (d Direction) String() string {
 	}
 }
 
+// Reads reports whether the direction reads its datum.
+func (d Direction) Reads() bool { return d == In || d == InOut }
+
+// Writes reports whether the direction writes its datum.
+func (d Direction) Writes() bool { return d == Out || d == InOut }
+
 // Param is one data parameter of a task: a datum ID plus an access
-// direction, 8 bytes. Data comes from the graph's Interner (Graph.Datum,
+// direction. Data comes from the graph's Interner (Graph.Datum,
 // Interner.Range or Interner.Grid); the datum's name, if anyone needs it,
 // is Interner.Name(Data).
 type Param struct {
@@ -66,12 +88,17 @@ type Param struct {
 }
 
 // Reads reports whether the parameter reads its datum.
-func (p Param) Reads() bool { return p.Dir == In || p.Dir == InOut }
+func (p Param) Reads() bool { return p.Dir.Reads() }
 
 // Writes reports whether the parameter writes its datum.
-func (p Param) Writes() bool { return p.Dir == Out || p.Dir == InOut }
+func (p Param) Writes() bool { return p.Dir.Writes() }
 
-// Task is a node of the DAG.
+// Task is a read-only view of one DAG node, assembled from the graph's
+// columns by Graph.Task, Graph.View or Graph.Tasks. Its fields are
+// copies: they stay valid after later Adds, and changing them does not
+// change the graph. Its Deps, Succs and DataIDs methods query the graph
+// when called, with the same lifetimes as the Graph accessors of the same
+// name.
 type Task struct {
 	// ID is the task's generation order (0-based) — the key the FIFO
 	// scheduling policy sorts by.
@@ -80,98 +107,110 @@ type Task struct {
 	// metrics (§4.2) groups on it.
 	Name string
 	// Params are the data parameters that induced the task's edges.
-	// Graph.Add copies them, so the caller's slice is not retained.
 	Params []Param
 	// Level is the task's depth: 0 for source tasks, otherwise
-	// 1 + max(level of predecessors). Populated by Graph.Add.
+	// 1 + max(level of predecessors).
 	Level int
 
-	dataIDs []int32 // Params[i].Data, as a flat slice
-	deps    []int   // predecessor task IDs, ascending, deduplicated
-	succs   []int   // successor task IDs in insertion order (built lazily)
-	g       *Graph
+	g *Graph
 }
 
-// Deps returns the task's predecessor IDs (do not modify).
-func (t *Task) Deps() []int { return t.deps }
+// Deps returns the task's predecessor IDs (Graph.Deps).
+func (t *Task) Deps() []int32 { return t.g.Deps(t.ID) }
 
-// Succs returns the task's successor IDs (do not modify).
-func (t *Task) Succs() []int {
-	if t.g != nil {
-		t.g.ensureSuccs()
-	}
-	return t.succs
-}
+// Succs returns the task's successor IDs (Graph.Succs).
+func (t *Task) Succs() []int32 { return t.g.Succs(t.ID) }
 
-// DataIDs returns the datum ID of each parameter, parallel to Params (do
-// not modify).
-func (t *Task) DataIDs() []int32 { return t.dataIDs }
+// DataIDs returns the datum ID of each parameter, parallel to Params
+// (Graph.DataIDs).
+func (t *Task) DataIDs() []int32 { return t.g.DataIDs(t.ID) }
 
 // Graph is an execution DAG under construction. The zero value is not
 // usable; construct with New.
 //
-// Tasks, their parameter lists and their dependency lists are carved out
-// of slab arenas owned by the graph, so building an n-task DAG costs one
-// slab allocation per thousands of tasks instead of O(n) small ones — the
-// difference between a 100k-task build thrashing the allocator and not. A
-// stored parameter costs 12 bytes: its Param and its ID in the DataIDs
-// slab.
+// Per-task state lives in columns indexed by task ID, and variable-length
+// state (parameters, dependencies) in flat arrays addressed by int32
+// offset columns, so building an n-task DAG costs a handful of growing
+// arrays — one exact allocation each when the builder calls Hint — and
+// no per-task object.
 type Graph struct {
-	tasks []*Task
-	data  *Interner
+	data *Interner
+
+	// Per-task columns, indexed by task ID. paramOff and depOff hold one
+	// more entry than there are tasks: task i's parameters are
+	// dataIDs/dirs[paramOff[i]:paramOff[i+1]], its predecessors
+	// deps[depOff[i]:depOff[i+1]].
+	kind     []uint16 // index into kinds
+	level    []int32
+	paramOff []int32
+	depOff   []int32
+
+	dataIDs []int32     // every task's parameter datum IDs, back to back
+	dirs    []Direction // parallel to dataIDs
+	deps    []int32     // predecessor IDs, ascending and deduplicated per task
+
+	kinds  []string          // task type names, first-use order
+	kindOf map[string]uint16 // name -> index into kinds
+	width  []int32           // tasks per level
 
 	lastWriter []int32 // datum ID -> task ID of last writer, -1 if none
 	versions   []int32 // datum ID -> version count (for labels)
 
-	taskArena  []Task  // current task slab; never moved once handed out
-	paramArena []Param // current Param slab
-	idArena    []int32 // current datum-ID slab
-	depArena   []int   // current dependency slab, grown lazily
+	// Successor table in compressed-sparse-row form: task i's successors
+	// are succs[succOff[i]:succOff[i+1]], ascending. Built on first use
+	// and rebuilt after an Add.
+	succOff, succs []int32
+	succsBuilt     bool
 
-	succsBuilt bool // successor lists are up to date
-	succArena  []int
-	succCounts []int // reusable per-task counter/cursor scratch
+	// Per-level task lists, same form: level l's tasks are
+	// levelIDs[levelOff[l]:levelOff[l+1]], ascending. Built on first use
+	// and rebuilt after an Add.
+	levelOff, levelIDs []int32
+	levelsBuilt        bool
 }
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{data: NewInterner()}
+	return &Graph{
+		data:     NewInterner(),
+		paramOff: []int32{0},
+		depOff:   []int32{0},
+		kindOf:   make(map[string]uint16),
+	}
 }
 
 // Hint pre-sizes the graph for a build of about tasks tasks, data datum
-// IDs and params total task parameters, collapsing the geometric slab
-// growth (and its copying) into one exact allocation per arena. A builder
+// IDs and params total task parameters, collapsing the geometric column
+// growth (and its copying) into one exact allocation per array. A builder
 // that knows its counts — every generator-style workload does — calls
 // this once before the first Add; estimates only need to be close,
 // construction still grows past them correctly.
 //
-// Two tables size themselves instead: the dependency slab, because a
-// task's edges are fewer than its parameters and unknown until Add runs,
-// grows in bounded chunks; and the interner's name map holds named datums
-// only, which a range-reserving builder has few of.
+// The dependency array is the one table whose size Hint cannot know: a
+// task has at most one edge per parameter, and none for a parameter that
+// reads a workflow input or writes a fresh datum. It is reserved at half
+// the parameters and doubles past that.
 func (g *Graph) Hint(tasks, data, params int) {
-	if tasks > cap(g.tasks) {
-		t := make([]*Task, len(g.tasks), tasks)
-		copy(t, g.tasks)
-		g.tasks = t
+	g.kind = reserve(g.kind, tasks)
+	g.level = reserve(g.level, tasks)
+	g.paramOff = reserve(g.paramOff, tasks+1)
+	g.depOff = reserve(g.depOff, tasks+1)
+	g.dataIDs = reserve(g.dataIDs, params)
+	g.dirs = reserve(g.dirs, params)
+	g.deps = reserve(g.deps, params/2)
+	g.lastWriter = reserve(g.lastWriter, data)
+	g.versions = reserve(g.versions, data)
+}
+
+// reserve returns s with capacity for at least n elements, reallocating
+// to exactly n when it is short.
+func reserve[E any](s []E, n int) []E {
+	if n <= cap(s) {
+		return s
 	}
-	if free := cap(g.taskArena) - len(g.taskArena); tasks-len(g.tasks) > free {
-		g.taskArena = make([]Task, 0, tasks-len(g.tasks))
-	}
-	if cap(g.paramArena)-len(g.paramArena) < params {
-		g.paramArena = make([]Param, 0, params)
-	}
-	if cap(g.idArena)-len(g.idArena) < params {
-		g.idArena = make([]int32, 0, params)
-	}
-	if data > cap(g.lastWriter) {
-		lw := make([]int32, len(g.lastWriter), data)
-		copy(lw, g.lastWriter)
-		g.lastWriter = lw
-		v := make([]int32, len(g.versions), data)
-		copy(v, g.versions)
-		g.versions = v
-	}
+	r := make([]E, len(s), n)
+	copy(r, s)
+	return r
 }
 
 // Data returns the graph's datum interner, shared with every layer that
@@ -194,108 +233,65 @@ func (g *Graph) growData() {
 	}
 }
 
-// allocTask returns a stable pointer to a zeroed Task from the slab arena.
-func (g *Graph) allocTask() *Task {
-	if len(g.taskArena) == cap(g.taskArena) {
-		c := 2 * cap(g.taskArena)
-		if c < 64 {
-			c = 64
-		} else if c > 8192 {
-			c = 8192
-		}
-		g.taskArena = make([]Task, 0, c)
+// kindIndex returns the type index of name, registering it on first use.
+// Builders add runs of same-typed tasks, so the previous task's type is
+// checked before the map.
+func (g *Graph) kindIndex(name string) uint16 {
+	if n := len(g.kind); n > 0 && g.kinds[g.kind[n-1]] == name {
+		return g.kind[n-1]
 	}
-	g.taskArena = g.taskArena[:len(g.taskArena)+1]
-	return &g.taskArena[len(g.taskArena)-1]
-}
-
-// allocParams returns a full-capacity slice of n Params from the slab
-// arena. When the current slab is exhausted a fresh one is allocated; old
-// slabs stay alive through the task slices pointing into them.
-func (g *Graph) allocParams(n int) []Param {
-	if cap(g.paramArena)-len(g.paramArena) < n {
-		c := 2 * cap(g.paramArena)
-		if c < 256 {
-			c = 256
-		}
-		if c < n {
-			c = n
-		}
-		g.paramArena = make([]Param, 0, c)
+	if k, ok := g.kindOf[name]; ok {
+		return k
 	}
-	s := g.paramArena[len(g.paramArena) : len(g.paramArena)+n : len(g.paramArena)+n]
-	g.paramArena = g.paramArena[:len(g.paramArena)+n]
-	return s
-}
-
-// allocIDs is allocParams for datum-ID slices.
-func (g *Graph) allocIDs(n int) []int32 {
-	if cap(g.idArena)-len(g.idArena) < n {
-		c := 2 * cap(g.idArena)
-		if c < 256 {
-			c = 256
-		}
-		if c < n {
-			c = n
-		}
-		g.idArena = make([]int32, 0, c)
+	if len(g.kinds) > math.MaxUint16 {
+		panic(fmt.Sprintf("dag: more than %d task types", math.MaxUint16+1))
 	}
-	s := g.idArena[len(g.idArena) : len(g.idArena)+n : len(g.idArena)+n]
-	g.idArena = g.idArena[:len(g.idArena)+n]
-	return s
+	k := uint16(len(g.kinds))
+	g.kinds = append(g.kinds, name)
+	g.kindOf[name] = k
+	return k
 }
-
-// reserveDeps returns an empty slice with capacity n at the dep slab's
-// tail. The caller fills it (staying within cap) and commits the bytes
-// actually used by advancing g.depArena itself. Slabs double up to
-// maxDepSlab entries, so at most one partly used slab is ever wasted.
-func (g *Graph) reserveDeps(n int) []int {
-	if cap(g.depArena)-len(g.depArena) < n {
-		c := min(max(2*cap(g.depArena), 256), maxDepSlab)
-		g.depArena = make([]int, 0, max(c, n))
-	}
-	return g.depArena[len(g.depArena) : len(g.depArena) : len(g.depArena)+n]
-}
-
-// maxDepSlab caps a dependency slab at 512 KB.
-const maxDepSlab = 1 << 16
 
 // Add appends a task in generation order, inferring its dependencies from
-// the data parameters, and returns it. Edges always point from lower to
-// higher IDs, so the graph is acyclic by construction and insertion order
-// is a valid topological order. The params slice is copied. A parameter
-// naming an ID the interner never assigned is a builder bug and panics.
-func (g *Graph) Add(name string, params ...Param) *Task {
-	t := g.allocTask()
-	t.ID = len(g.tasks)
-	t.Name = name
-	t.g = g
-	t.Params = g.allocParams(len(params))
-	copy(t.Params, params)
-	t.dataIDs = g.allocIDs(len(params))
-	for i, p := range params {
+// the data parameters, and returns its ID. Edges always point from lower
+// to higher IDs, so the graph is acyclic by construction and insertion
+// order is a valid topological order. The params slice is copied. A
+// parameter naming an ID the interner never assigned is a builder bug and
+// panics.
+func (g *Graph) Add(name string, params ...Param) int {
+	id := len(g.level)
+	if id == math.MaxInt32 || len(g.dataIDs)+len(params) > math.MaxInt32 {
+		panic(fmt.Sprintf("dag: graph full at %d tasks", id))
+	}
+	for _, p := range params {
 		if uint(p.Data) >= uint(len(g.lastWriter)) {
 			if p.Data < 0 || int(p.Data) >= g.data.Len() {
 				panic(fmt.Sprintf("dag: task %s names unassigned datum ID %d", name, p.Data))
 			}
 			g.growData()
 		}
-		t.dataIDs[i] = p.Data
+		g.dataIDs = append(g.dataIDs, p.Data)
+		g.dirs = append(g.dirs, p.Dir)
 	}
 
 	// Dependencies: RAW and WAW both edge on the last writer. Dedup via
-	// insertion into the small sorted deps slice — a task has a handful of
-	// params, so this beats a per-task map by a wide margin.
-	deps := g.reserveDeps(len(params))
-	for i, p := range params {
+	// insertion into the task's small sorted run at the array's tail — a
+	// task has a handful of params, so this beats a per-task map by a
+	// wide margin.
+	base := len(g.deps)
+	if cap(g.deps)-base < len(params) {
+		g.growDeps(len(params))
+	}
+	deps := g.deps[base:base:cap(g.deps)]
+	level := int32(0)
+	for _, p := range params {
 		if !p.Reads() && !p.Writes() {
 			continue
 		}
-		w := g.lastWriter[t.dataIDs[i]]
-		if w < 0 {
+		d := g.lastWriter[p.Data]
+		if d < 0 {
 			continue
 		}
-		d := int(w)
 		pos := len(deps)
 		for pos > 0 && deps[pos-1] > d {
 			pos--
@@ -306,94 +302,168 @@ func (g *Graph) Add(name string, params ...Param) *Task {
 		deps = deps[:len(deps)+1]
 		copy(deps[pos+1:], deps[pos:])
 		deps[pos] = d
+		level = max(level, g.level[d]+1)
 	}
-	t.deps = deps[:len(deps):len(deps)]
-	g.depArena = g.depArena[:len(g.depArena)+len(deps)] // commit the used prefix
+	g.deps = g.deps[:base+len(deps)]
 
-	level := 0
-	for _, d := range t.deps {
-		if lvl := g.tasks[d].Level + 1; lvl > level {
-			level = lvl
-		}
-	}
-	t.Level = level
-	for i, p := range params {
+	for _, p := range params {
 		if p.Writes() {
-			id := t.dataIDs[i]
-			g.lastWriter[id] = int32(t.ID)
-			g.versions[id]++
+			g.lastWriter[p.Data] = int32(id)
+			g.versions[p.Data]++
 		}
 	}
-	g.tasks = append(g.tasks, t)
-	g.succsBuilt = false
-	return t
+	g.kind = append(g.kind, g.kindIndex(name))
+	g.level = append(g.level, level)
+	g.paramOff = append(g.paramOff, int32(len(g.dataIDs)))
+	g.depOff = append(g.depOff, int32(len(g.deps)))
+	if int(level) == len(g.width) {
+		g.width = append(g.width, 0)
+	}
+	g.width[level]++
+	g.succsBuilt, g.levelsBuilt = false, false
+	return id
 }
 
-// ensureSuccs (re)builds every task's successor list in one pass over the
-// edge set: exact-size slices carved from a single arena, appended in task
-// ID order — which is exactly the insertion order incremental building
-// would produce.
-func (g *Graph) ensureSuccs() {
-	if g.succsBuilt {
-		return
-	}
-	if cap(g.succCounts) < len(g.tasks) || cap(g.succArena) < g.edgeCount() {
-		g.growSuccScratch()
-	}
-	counts := g.succCounts[:len(g.tasks)]
-	clear(counts)
-	total := 0
-	for _, t := range g.tasks {
-		for _, d := range t.deps {
-			counts[d]++
-			total++
-		}
-	}
-	arena := g.succArena[:total]
-	off := 0
-	for _, t := range g.tasks {
-		n := counts[t.ID]
-		t.succs = arena[off : off+n : off+n]
-		counts[t.ID] = 0 // becomes the fill cursor below
-		off += n
-	}
-	// Indexed writes in task-ID order — exactly the insertion order
-	// incremental building would produce, with no append in sight.
-	for _, t := range g.tasks {
-		for _, d := range t.deps {
-			dt := g.tasks[d]
-			dt.succs[counts[d]] = t.ID
-			counts[d]++
-		}
-	}
-	g.succsBuilt = true
-}
-
-func (g *Graph) edgeCount() int {
-	total := 0
-	for _, t := range g.tasks {
-		total += len(t.deps)
-	}
-	return total
-}
-
-// growSuccScratch (re)sizes the successor-construction scratch to the
-// current graph. Cold by construction: it runs when the graph has grown
-// past the scratch high-water mark — once per graph shape, after which
-// every rebuild reuses the buffers allocation-free.
-func (g *Graph) growSuccScratch() {
-	g.succCounts = make([]int, len(g.tasks)) //wfsimlint:allow hotalloc
-	g.succArena = make([]int, g.edgeCount()) //wfsimlint:allow hotalloc
+// growDeps reallocates the dependency array with room for n more entries,
+// at least doubling it.
+func (g *Graph) growDeps(n int) {
+	c := max(2*cap(g.deps), 256, len(g.deps)+n)
+	d := make([]int32, len(g.deps), c)
+	copy(d, g.deps)
+	g.deps = d
 }
 
 // Len returns the number of tasks.
-func (g *Graph) Len() int { return len(g.tasks) }
+func (g *Graph) Len() int { return len(g.level) }
 
-// Task returns the task with the given ID.
-func (g *Graph) Task(id int) *Task { return g.tasks[id] }
+// Name returns task id's type name.
+func (g *Graph) Name(id int) string { return g.kinds[g.kind[id]] }
 
-// Tasks returns all tasks in generation order (do not modify the slice).
-func (g *Graph) Tasks() []*Task { return g.tasks }
+// Level returns task id's depth: 0 for a source task, otherwise 1 + the
+// largest level among its predecessors.
+func (g *Graph) Level(id int) int { return int(g.level[id]) }
+
+// Deps returns task id's predecessor IDs, ascending. The view is read-only
+// and stays valid, unchanged, across later Adds.
+func (g *Graph) Deps(id int) []int32 {
+	lo, hi := g.depOff[id], g.depOff[id+1]
+	return g.deps[lo:hi:hi]
+}
+
+// Succs returns task id's successor IDs, ascending. The first call after
+// an Add rebuilds the successor table for the whole graph, so concurrent
+// readers need it built first (Validate builds it); the view is read-only
+// and valid only until the next Add.
+func (g *Graph) Succs(id int) []int32 {
+	if !g.succsBuilt {
+		g.buildSuccs()
+	}
+	lo, hi := g.succOff[id], g.succOff[id+1]
+	return g.succs[lo:hi:hi]
+}
+
+// Params returns task id's parameters as two parallel read-only views:
+// the datum IDs and their directions. Both stay valid across later Adds.
+func (g *Graph) Params(id int) ([]int32, []Direction) {
+	lo, hi := g.paramOff[id], g.paramOff[id+1]
+	return g.dataIDs[lo:hi:hi], g.dirs[lo:hi:hi]
+}
+
+// DataIDs returns the datum ID of each of task id's parameters (the first
+// view of Params).
+func (g *Graph) DataIDs(id int) []int32 {
+	lo, hi := g.paramOff[id], g.paramOff[id+1]
+	return g.dataIDs[lo:hi:hi]
+}
+
+// buildSuccs (re)builds the successor table from the dependency array by
+// a counting pass: succOff first counts each producer's consumers, then
+// serves as the fill cursor, and ends shifted into place. Consumers are
+// visited in ascending ID, so every list comes out ascending — exactly the
+// order incremental building would produce. Once a graph is complete this
+// runs once, in the Validate every run starts with, so its allocations
+// are setup rather than steady state; the arrays are reused when a
+// rebuild fits them.
+func (g *Graph) buildSuccs() {
+	n := g.Len()
+	if cap(g.succOff) < n+1 {
+		g.succOff = make([]int32, n+1) //wfsimlint:allow hotalloc
+	}
+	if cap(g.succs) < len(g.deps) {
+		g.succs = make([]int32, len(g.deps)) //wfsimlint:allow hotalloc
+	}
+	off, succs := g.succOff[:n+1], g.succs[:len(g.deps)]
+	clear(off)
+	for _, d := range g.deps {
+		off[d+1]++
+	}
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	for id := 0; id < n; id++ {
+		for _, d := range g.Deps(id) {
+			succs[off[d]] = int32(id)
+			off[d]++
+		}
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	g.succOff, g.succs, g.succsBuilt = off, succs, true
+}
+
+// buildLevels (re)builds the per-level task lists, with the same counting
+// pass as buildSuccs over the per-level widths Add keeps.
+func (g *Graph) buildLevels() {
+	n, L := g.Len(), len(g.width)
+	if cap(g.levelOff) < L+1 {
+		g.levelOff = make([]int32, L+1)
+	}
+	if cap(g.levelIDs) < n {
+		g.levelIDs = make([]int32, n)
+	}
+	off, ids := g.levelOff[:L+1], g.levelIDs[:n]
+	off[0] = 0
+	for l, w := range g.width {
+		off[l+1] = off[l] + w
+	}
+	for id, l := range g.level {
+		ids[off[l]] = int32(id)
+		off[l]++
+	}
+	copy(off[1:], off[:L])
+	off[0] = 0
+	g.levelOff, g.levelIDs, g.levelsBuilt = off, ids, true
+}
+
+// View fills v with task id and returns it, reusing v's Params storage:
+// the allocation-free way to walk tasks as values. The result is the
+// caller's v, so it changes when v is refilled.
+func (g *Graph) View(id int, v *Task) *Task {
+	ids, dirs := g.Params(id)
+	v.ID, v.Name, v.Level, v.g = id, g.Name(id), g.Level(id), g
+	v.Params = v.Params[:0]
+	for i, d := range ids {
+		v.Params = append(v.Params, Param{Data: d, Dir: dirs[i]})
+	}
+	return v
+}
+
+// Task returns a fresh view of task id, which the caller owns.
+func (g *Graph) Task(id int) *Task { return g.View(id, &Task{}) }
+
+// Tasks iterates over every task in generation order. It yields one
+// view, refilled for each task: a yielded *Task is valid until the loop
+// advances, so keep its ID (or copy it) rather than the pointer.
+func (g *Graph) Tasks() iter.Seq2[int, *Task] {
+	return func(yield func(int, *Task) bool) {
+		var v Task
+		for id := range g.Len() {
+			if !yield(id, g.View(id, &v)) {
+				return
+			}
+		}
+	}
+}
 
 // Version returns how many times the named datum has been written — the
 // vN suffix in the paper's Figure 6 node labels.
@@ -405,91 +475,97 @@ func (g *Graph) Version(name string) int {
 	return int(g.versions[id])
 }
 
-// Levels groups task IDs by DAG level, index 0 being the sources.
-func (g *Graph) Levels() [][]int {
-	if len(g.tasks) == 0 {
+// Levels groups task IDs by DAG level, index 0 being the sources, each
+// level ascending. The first call after an Add rebuilds the level table;
+// the inner views are read-only and valid only until the next Add.
+func (g *Graph) Levels() [][]int32 {
+	if len(g.width) == 0 {
 		return nil
 	}
-	maxLevel := 0
-	for _, t := range g.tasks {
-		if t.Level > maxLevel {
-			maxLevel = t.Level
-		}
+	if !g.levelsBuilt {
+		g.buildLevels()
 	}
-	levels := make([][]int, maxLevel+1)
-	for _, t := range g.tasks {
-		levels[t.Level] = append(levels[t.Level], t.ID)
+	out := make([][]int32, len(g.width))
+	for l := range out {
+		lo, hi := g.levelOff[l], g.levelOff[l+1]
+		out[l] = g.levelIDs[lo:hi:hi]
 	}
-	return levels
+	return out
 }
+
+// LevelWidth returns the number of tasks on a level.
+func (g *Graph) LevelWidth(level int) int { return int(g.width[level]) }
 
 // MaxWidth returns the largest number of tasks on one level: the paper's
 // "DAG maximum width" (degree of task parallelism).
 func (g *Graph) MaxWidth() int {
-	w := 0
-	for _, lvl := range g.Levels() {
-		if len(lvl) > w {
-			w = len(lvl)
-		}
+	if len(g.width) == 0 {
+		return 0
 	}
-	return w
+	return int(slices.Max(g.width))
 }
 
 // MaxHeight returns the number of levels: the paper's "DAG maximum height"
 // (degree of task dependency).
-func (g *Graph) MaxHeight() int { return len(g.Levels()) }
+func (g *Graph) MaxHeight() int { return len(g.width) }
 
 // Roots returns the IDs of tasks with no dependencies.
 func (g *Graph) Roots() []int {
 	var out []int
-	for _, t := range g.tasks {
-		if len(t.deps) == 0 {
-			out = append(out, t.ID)
+	for id := range g.Len() {
+		if g.depOff[id] == g.depOff[id+1] {
+			out = append(out, id)
 		}
 	}
 	return out
 }
 
-// Validate checks structural invariants: edges point forward (acyclicity),
-// dep/succ symmetry, and level consistency.
+// Validate checks structural invariants: edges point forward (acyclicity)
+// and are deduplicated, dependency and successor records are symmetric,
+// and levels are consistent. It allocates nothing beyond the successor
+// table: every successor record is matched by binary search in its
+// consumer's sorted dependencies, and equal record counts then make the
+// match a bijection.
 func (g *Graph) Validate() error {
-	g.ensureSuccs()
-	// Successor lists are built in ascending task-ID order, and tasks
-	// iterate their deps in ascending ID order too, so one cursor per
-	// producer checks every edge's successor record in O(E) total — a
-	// per-edge scan of the producer's successor list would be quadratic
-	// for the high-fanout producers broadcast data induces.
-	cur := make([]int, len(g.tasks))
-	for _, t := range g.tasks {
-		want := 0
-		for _, d := range t.deps {
-			if d >= t.ID {
-				return fmt.Errorf("dag: task %d depends on later task %d", t.ID, d)
+	for id := range g.Len() {
+		want, prev := int32(0), int32(-1)
+		for _, d := range g.Deps(id) {
+			if int(d) >= id {
+				return fmt.Errorf("dag: task %d depends on later task %d", id, d)
 			}
-			succs := g.tasks[d].succs
-			for cur[d] < len(succs) && succs[cur[d]] < t.ID {
-				cur[d]++
+			if d <= prev {
+				return fmt.Errorf("dag: task %d dependencies not ascending at %d", id, d)
 			}
-			if cur[d] >= len(succs) || succs[cur[d]] != t.ID {
-				return fmt.Errorf("dag: edge %d->%d missing successor record", d, t.ID)
+			prev = d
+			want = max(want, g.level[d]+1)
+		}
+		if g.level[id] != want {
+			return fmt.Errorf("dag: task %d level %d, want %d", id, g.level[id], want)
+		}
+	}
+	for id := range g.Len() {
+		prev := int32(id)
+		for _, s := range g.Succs(id) {
+			if s <= prev {
+				return fmt.Errorf("dag: task %d successor %d out of order", id, s)
 			}
-			cur[d]++
-			if g.tasks[d].Level+1 > want {
-				want = g.tasks[d].Level + 1
+			prev = s
+			if _, ok := slices.BinarySearch(g.Deps(int(s)), int32(id)); !ok {
+				return fmt.Errorf("dag: successor record %d->%d has no edge", id, s)
 			}
 		}
-		if t.Level != want {
-			return fmt.Errorf("dag: task %d level %d, want %d", t.ID, t.Level, want)
-		}
+	}
+	if len(g.succs) != len(g.deps) {
+		return fmt.Errorf("dag: %d successor records for %d edges", len(g.succs), len(g.deps))
 	}
 	return nil
 }
 
 // CountByName returns the number of tasks per task type.
 func (g *Graph) CountByName() map[string]int {
-	out := make(map[string]int)
-	for _, t := range g.tasks {
-		out[t.Name]++
+	out := make(map[string]int, len(g.kinds))
+	for _, k := range g.kind {
+		out[g.kinds[k]]++
 	}
 	return out
 }
@@ -498,22 +574,16 @@ func (g *Graph) CountByName() map[string]int {
 // task type — the rendering used to reproduce the paper's Figure 6.
 func (g *Graph) DOT(w io.Writer, title string) error {
 	var colors = []string{"lightblue", "white", "lightyellow", "lightpink", "lightgreen", "lightgray"}
-	colorOf := map[string]string{}
-	names := make([]string, 0)
-	for _, t := range g.tasks {
-		if _, ok := colorOf[t.Name]; !ok {
-			colorOf[t.Name] = colors[len(names)%len(colors)]
-			names = append(names, t.Name)
-		}
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %q {\n  rankdir=TB;\n  node [style=filled, shape=circle];\n", title)
-	for _, t := range g.tasks {
-		fmt.Fprintf(&b, "  t%d [label=%q, fillcolor=%q];\n", t.ID, fmt.Sprintf("%d", t.ID), colorOf[t.Name])
+	for id, k := range g.kind {
+		// Type indexes are assigned in first-use order, the order colors
+		// are handed out in.
+		fmt.Fprintf(&b, "  t%d [label=%q, fillcolor=%q];\n", id, fmt.Sprintf("%d", id), colors[int(k)%len(colors)])
 	}
-	for _, t := range g.tasks {
-		for _, d := range t.deps {
-			fmt.Fprintf(&b, "  t%d -> t%d;\n", d, t.ID)
+	for id := range g.Len() {
+		for _, d := range g.Deps(id) {
+			fmt.Fprintf(&b, "  t%d -> t%d;\n", d, id)
 		}
 	}
 	fmt.Fprintf(&b, "  label=%q;\n}\n", title)
@@ -529,7 +599,7 @@ func (g *Graph) Summary() string {
 		byName := map[string]int{}
 		order := []string{}
 		for _, id := range lvl {
-			n := g.tasks[id].Name
+			n := g.Name(int(id))
 			if byName[n] == 0 {
 				order = append(order, n)
 			}
@@ -545,52 +615,49 @@ func (g *Graph) Summary() string {
 }
 
 // CriticalPath returns the longest weighted path through the DAG and its
-// length, where weight(t) is the per-task cost supplied by the caller.
+// length, where weight(id) is the per-task cost supplied by the caller.
 // The path is returned as task IDs in execution order. With unit weights
 // this is the height; with service-time weights it is the span term of
 // Graham's bound — no schedule on any number of processors beats it.
-func (g *Graph) CriticalPath(weight func(*Task) float64) ([]int, float64) {
-	if len(g.tasks) == 0 {
+func (g *Graph) CriticalPath(weight func(id int) float64) ([]int, float64) {
+	if g.Len() == 0 {
 		return nil, 0
 	}
-	dist := make([]float64, len(g.tasks))
-	prev := make([]int, len(g.tasks))
+	dist := make([]float64, g.Len())
+	prev := make([]int32, g.Len())
 	best, bestEnd := -1.0, -1
-	for _, t := range g.tasks { // insertion order is topological
-		w := weight(t)
+	for id := range g.Len() { // insertion order is topological
+		w := weight(id)
 		if w < 0 {
 			w = 0
 		}
 		d := w
-		prev[t.ID] = -1
-		for _, dep := range t.deps {
+		prev[id] = -1
+		for _, dep := range g.Deps(id) {
 			if dist[dep]+w > d {
 				d = dist[dep] + w
-				prev[t.ID] = dep
+				prev[id] = dep
 			}
 		}
-		dist[t.ID] = d
+		dist[id] = d
 		if d > best {
-			best, bestEnd = d, t.ID
+			best, bestEnd = d, id
 		}
 	}
 	var path []int
-	for id := bestEnd; id >= 0; id = prev[id] {
+	for id := bestEnd; id >= 0; id = int(prev[id]) {
 		path = append(path, id)
 	}
-	// Reverse into execution order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
+	slices.Reverse(path)
 	return path, best
 }
 
-// TotalWeight sums weight(t) over all tasks: the work term of Graham's
+// TotalWeight sums weight(id) over all tasks: the work term of Graham's
 // bound.
-func (g *Graph) TotalWeight(weight func(*Task) float64) float64 {
+func (g *Graph) TotalWeight(weight func(id int) float64) float64 {
 	var sum float64
-	for _, t := range g.tasks {
-		if w := weight(t); w > 0 {
+	for id := range g.Len() {
+		if w := weight(id); w > 0 {
 			sum += w
 		}
 	}

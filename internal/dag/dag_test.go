@@ -11,11 +11,11 @@ func TestRAWDependency(t *testing.T) {
 	g := New()
 	w := g.Add("writer", Param{Data: g.Datum("x"), Dir: Out})
 	r := g.Add("reader", Param{Data: g.Datum("x"), Dir: In})
-	if len(r.Deps()) != 1 || r.Deps()[0] != w.ID {
-		t.Fatalf("reader deps = %v, want [%d]", r.Deps(), w.ID)
+	if deps := g.Deps(r); len(deps) != 1 || int(deps[0]) != w {
+		t.Fatalf("reader deps = %v, want [%d]", deps, w)
 	}
-	if r.Level != 1 || w.Level != 0 {
-		t.Fatalf("levels = %d, %d; want 1, 0", r.Level, w.Level)
+	if g.Level(r) != 1 || g.Level(w) != 0 {
+		t.Fatalf("levels = %d, %d; want 1, 0", g.Level(r), g.Level(w))
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
@@ -26,12 +26,12 @@ func TestWAWDependency(t *testing.T) {
 	g := New()
 	w1 := g.Add("w1", Param{Data: g.Datum("x"), Dir: Out})
 	w2 := g.Add("w2", Param{Data: g.Datum("x"), Dir: Out})
-	if len(w2.Deps()) != 1 || w2.Deps()[0] != w1.ID {
-		t.Fatalf("w2 deps = %v, want [%d]", w2.Deps(), w1.ID)
+	if deps := g.Deps(w2); len(deps) != 1 || int(deps[0]) != w1 {
+		t.Fatalf("w2 deps = %v, want [%d]", deps, w1)
 	}
 	r := g.Add("r", Param{Data: g.Datum("x"), Dir: In})
-	if len(r.Deps()) != 1 || r.Deps()[0] != w2.ID {
-		t.Fatalf("reader depends on %v, want last writer %d", r.Deps(), w2.ID)
+	if deps := g.Deps(r); len(deps) != 1 || int(deps[0]) != w2 {
+		t.Fatalf("reader depends on %v, want last writer %d", deps, w2)
 	}
 }
 
@@ -71,8 +71,8 @@ func TestNoWARDependency(t *testing.T) {
 	g.Add("w1", Param{Data: g.Datum("x"), Dir: Out})
 	g.Add("r", Param{Data: g.Datum("x"), Dir: In})
 	w2 := g.Add("w2", Param{Data: g.Datum("x"), Dir: Out})
-	for _, d := range w2.Deps() {
-		if g.Task(d).Name == "r" {
+	for _, d := range g.Deps(w2) {
+		if g.Name(int(d)) == "r" {
 			t.Fatal("WAR edge created; versioning should avoid it")
 		}
 	}
@@ -85,11 +85,11 @@ func TestDedupEdges(t *testing.T) {
 	g := New()
 	w := g.Add("w", Param{Data: g.Datum("a"), Dir: Out}, Param{Data: g.Datum("b"), Dir: Out})
 	r := g.Add("r", Param{Data: g.Datum("a"), Dir: In}, Param{Data: g.Datum("b"), Dir: In})
-	if len(r.Deps()) != 1 {
-		t.Fatalf("deps = %v, want single deduplicated edge", r.Deps())
+	if len(g.Deps(r)) != 1 {
+		t.Fatalf("deps = %v, want single deduplicated edge", g.Deps(r))
 	}
-	if len(w.Succs()) != 1 {
-		t.Fatalf("succs = %v, want one", w.Succs())
+	if len(g.Succs(w)) != 1 {
+		t.Fatalf("succs = %v, want one", g.Succs(w))
 	}
 }
 
@@ -181,7 +181,7 @@ func TestRandomDAGInvariants(t *testing.T) {
 		// Every non-root task's level exceeds all of its deps' levels.
 		for _, task := range g.Tasks() {
 			for _, d := range task.Deps() {
-				if g.Task(d).Level >= task.Level {
+				if g.Level(int(d)) >= task.Level {
 					return false
 				}
 			}

@@ -236,8 +236,8 @@ type WorkflowBounds struct {
 }
 
 // BoundsForWorkflow computes whole-DAG bounds given a per-task service
-// time function and the device slot count.
-func BoundsForWorkflow(g *dag.Graph, slots int, taskTime func(*dag.Task) float64) WorkflowBounds {
+// time function of the task ID and the device slot count.
+func BoundsForWorkflow(g *dag.Graph, slots int, taskTime func(id int) float64) WorkflowBounds {
 	if slots <= 0 || g.Len() == 0 {
 		return WorkflowBounds{}
 	}

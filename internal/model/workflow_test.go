@@ -13,9 +13,9 @@ import (
 
 // taskTimer derives a per-task service-time function from the workflow's
 // attached profiles.
-func taskTimer(wf *runtime.Workflow, params costmodel.Params, dev costmodel.DeviceKind) func(*dag.Task) float64 {
-	return func(t *dag.Task) float64 {
-		return params.UserCodeTimeUncontended(wf.Spec(t).Profile, dev)
+func taskTimer(wf *runtime.Workflow, params costmodel.Params, dev costmodel.DeviceKind) func(int) float64 {
+	return func(id int) float64 {
+		return params.UserCodeTimeUncontended(wf.SpecByID(id).Profile, dev)
 	}
 }
 
@@ -76,7 +76,7 @@ func TestCriticalPathAlternatesKMeans(t *testing.T) {
 		t.Fatalf("critical path length = %d tasks, want 6 (3 iterations × 2)", len(path))
 	}
 	for i, id := range path {
-		name := wf.Graph.Task(id).Name
+		name := wf.Graph.Name(id)
 		want := "partial_sum"
 		if i%2 == 1 {
 			want = "merge"
@@ -88,12 +88,12 @@ func TestCriticalPathAlternatesKMeans(t *testing.T) {
 }
 
 func TestWorkflowBoundsDegenerate(t *testing.T) {
-	if b := BoundsForWorkflow(dag.New(), 4, func(*dag.Task) float64 { return 1 }); b.Lower != 0 {
+	if b := BoundsForWorkflow(dag.New(), 4, func(int) float64 { return 1 }); b.Lower != 0 {
 		t.Fatal("empty graph should bound to zero")
 	}
 	g := dag.New()
 	g.Add("t")
-	if b := BoundsForWorkflow(g, 0, func(*dag.Task) float64 { return 1 }); b.Lower != 0 {
+	if b := BoundsForWorkflow(g, 0, func(int) float64 { return 1 }); b.Lower != 0 {
 		t.Fatal("zero slots should bound to zero")
 	}
 }

@@ -20,16 +20,16 @@ import (
 type Arena struct {
 	nodes     sim.Arena
 	attempts  []*attempt
-	remaining []int
+	remaining []int32
 	inputs    []sched.DataLoc
 	load      []int
 }
 
 // grabRemaining returns a zeroed dependency-counter slice of length n,
 // reusing the arena's buffer when it is large enough.
-func (a *Arena) grabRemaining(n int) []int {
+func (a *Arena) grabRemaining(n int) []int32 {
 	if cap(a.remaining) < n {
-		a.remaining = make([]int, n)
+		a.remaining = make([]int32, n)
 		return a.remaining
 	}
 	s := a.remaining[:n]

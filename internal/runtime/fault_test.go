@@ -87,7 +87,7 @@ func TestLIFOSchedAttribution(t *testing.T) {
 	for _, task := range wf.Graph.Tasks() {
 		ready := 0.0
 		for _, dep := range task.Deps() {
-			if e := serEnd[dep]; e > ready {
+			if e := serEnd[int(dep)]; e > ready {
 				ready = e
 			}
 		}
@@ -119,7 +119,7 @@ func TestUnknownReadAssertion(t *testing.T) {
 			t.Fatalf("panic does not name the invariant: %q", msg)
 		}
 	}()
-	r.panicUnknownRead(wf.Graph.Task(0), 0)
+	r.panicUnknownRead(sched.TaskRef{ID: 0, Name: wf.Graph.Name(0)}, 0)
 }
 
 // faultCfg is an aggressive crash schedule relative to the grid workflow's

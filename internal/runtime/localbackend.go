@@ -60,12 +60,12 @@ func RunLocal(wf *Workflow, cfg LocalConfig) (*LocalResult, error) {
 	)
 	sem := make(chan struct{}, workers)
 
+	g := wf.Graph
 	var launch func(id int)
 	launch = func(id int) {
 		defer wg.Done()
 		sem <- struct{}{}
-		t := wf.Graph.Task(id)
-		spec := wf.Spec(t)
+		spec := wf.SpecByID(id)
 		t0 := time.Since(start).Seconds()
 		var err error
 		if spec.Exec != nil {
@@ -75,20 +75,20 @@ func RunLocal(wf *Workflow, cfg LocalConfig) (*LocalResult, error) {
 		<-sem
 
 		collector.Add(metrics.Record{
-			TaskID: t.ID, TaskName: t.Name, Level: t.Level,
+			TaskID: id, TaskName: g.Name(id), Level: g.Level(id),
 			Device: "CPU", Stage: metrics.StageParallel, Start: t0, End: t1,
 		})
 
 		mu.Lock()
 		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("task %d (%s): %w", t.ID, t.Name, err)
+			firstErr = fmt.Errorf("task %d (%s): %w", id, g.Name(id), err)
 		}
 		var ready []int
 		if firstErr == nil {
-			for _, s := range t.Succs() {
+			for _, s := range g.Succs(id) {
 				remaining[s]--
 				if remaining[s] == 0 {
-					ready = append(ready, s)
+					ready = append(ready, int(s))
 				}
 			}
 		}
@@ -100,15 +100,10 @@ func RunLocal(wf *Workflow, cfg LocalConfig) (*LocalResult, error) {
 	}
 
 	mu.Lock()
-	for _, t := range wf.Graph.Tasks() {
-		remaining[t.ID] = len(t.Deps())
+	for id := range remaining {
+		remaining[id] = len(g.Deps(id))
 	}
-	var roots []int
-	for _, t := range wf.Graph.Tasks() {
-		if remaining[t.ID] == 0 {
-			roots = append(roots, t.ID)
-		}
-	}
+	roots := g.Roots()
 	mu.Unlock()
 	for _, id := range roots {
 		wg.Add(1)

@@ -147,7 +147,7 @@ func (c *ClusterSim) Submit(tenant int, wf *Workflow, at float64, onDone func(Wo
 			// whatever it kept. The session header (indices, instants)
 			// stays for accounting.
 			s.wf, s.collector, s.sink = nil, nil, nil
-			s.remaining, s.levelWidth = nil, nil
+			s.remaining = nil
 			s.ranks, s.costs = nil, nil
 			s.attempts, s.doneTask, s.inFlight, s.waiters, s.counted = nil, nil, nil, nil, nil
 		})

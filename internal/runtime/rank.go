@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"wfsim/internal/costmodel"
-	"wfsim/internal/dag"
 	"wfsim/internal/sched"
 	"wfsim/internal/storage"
 )
@@ -34,16 +33,15 @@ func rankTables(wf *Workflow, cfg *SimConfig) (ranks, costs []float64) {
 	p := cfg.Params
 	g := wf.Graph
 	costs = make([]float64, g.Len())
-	for _, t := range g.Tasks() {
-		costs[t.ID] = taskEstimate(wf, t, p, cfg.Device)
+	for id := range costs {
+		costs[id] = taskEstimate(wf, id, p, cfg.Device)
 	}
 	if cfg.Policy == sched.MinMin {
 		return nil, costs
 	}
 
-	weight := func(t *dag.Task) float64 { return costs[t.ID] }
 	if cfg.Policy == sched.BLevel {
-		return sched.BLevels(g, weight), costs
+		return sched.Ranks(g, func(id int) float64 { return costs[id] }, nil), costs
 	}
 
 	// HEFT weights tasks by their mean execution cost across the cluster:
@@ -58,13 +56,13 @@ func rankTables(wf *Workflow, cfg *SimConfig) (ranks, costs []float64) {
 		}
 		meanInvSpeed = sum / float64(len(cfg.NodeSpeed))
 	}
-	heftWeight := func(t *dag.Task) float64 { return costs[t.ID] * meanInvSpeed }
+	heftWeight := func(id int) float64 { return costs[id] * meanInvSpeed }
 
 	// Edge transfer estimate: the producer's written bytes crossing the
 	// network at NIC rate. Only local-disk storage ever moves blocks
 	// between nodes; shared storage reaches every node identically, so
 	// transfer does not differentiate paths and contributes zero rank.
-	var comm func(from, to *dag.Task) float64
+	var comm func(from, to int) float64
 	if cfg.Storage == storage.Local && p.NICBandwidth > 0 {
 		frac := 0.0
 		if n := cfg.Cluster.Nodes; n > 1 {
@@ -73,32 +71,19 @@ func rankTables(wf *Workflow, cfg *SimConfig) (ranks, costs []float64) {
 			// cross the wire.
 			frac = float64(n-1) / float64(n)
 		}
-		comm = func(from, _ *dag.Task) float64 {
-			return writtenBytes(wf, from) / p.NICBandwidth * frac
+		comm = func(from, _ int) float64 {
+			return wf.writtenBytes(from) / p.NICBandwidth * frac
 		}
 	}
-	return sched.UpwardRanks(g, heftWeight, comm), costs
+	return sched.Ranks(g, heftWeight, comm), costs
 }
 
 // taskEstimate is the per-task dedicated-resource execution time estimate
 // the lookahead tables are built from: CPU decode + user code + CPU
 // encode under the paper's device-assignment rule, contention excluded
 // (the scheduler estimates, the simulation decides).
-func taskEstimate(wf *Workflow, t *dag.Task, p *costmodel.Params, mode costmodel.DeviceKind) float64 {
-	prof := wf.Spec(t).Profile
+func taskEstimate(wf *Workflow, id int, p *costmodel.Params, mode costmodel.DeviceKind) float64 {
+	prof := wf.SpecByID(id).Profile
 	dev := taskDevice(prof, mode)
 	return p.DeserTime(prof) + p.UserCodeTimeUncontended(prof, dev) + p.SerTime(prof)
-}
-
-// writtenBytes sums the sizes of every datum the task writes — the
-// payload its consumers must acquire.
-func writtenBytes(wf *Workflow, t *dag.Task) float64 {
-	ids := t.DataIDs()
-	var b float64
-	for i, prm := range t.Params {
-		if prm.Writes() {
-			b += wf.SizeByID(ids[i])
-		}
-	}
-	return b
 }

@@ -79,7 +79,7 @@ func TestRankTablesProperties(t *testing.T) {
 		t.Fatal("b-level tables missing")
 	}
 	want := sched.BLevels(wf.Graph, func(task *dag.Task) float64 {
-		return taskEstimate(wf, task, base.Params, base.Device)
+		return taskEstimate(wf, task.ID, base.Params, base.Device)
 	})
 	for id := range want {
 		if blRanks[id] != want[id] {

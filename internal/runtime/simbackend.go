@@ -223,11 +223,11 @@ func RunSimStats(wf *Workflow, cfg SimConfig) (*SimResult, sim.Stats, error) {
 // before any simulation runs, matching how an OOM aborts the paper's real
 // executions before useful work completes.
 func preflightMemory(wf *Workflow, cfg SimConfig) error {
-	for _, t := range wf.Graph.Tasks() {
-		spec := wf.Spec(t)
+	for id := range wf.Graph.Len() {
+		spec := wf.SpecByID(id)
 		dev := taskDevice(spec.Profile, cfg.Device)
 		if err := cfg.Params.CheckMemory(spec.Profile, dev); err != nil {
-			return fmt.Errorf("task %d (%s): %w", t.ID, t.Name, err)
+			return fmt.Errorf("task %d (%s): %w", id, wf.Graph.Name(id), err)
 		}
 	}
 	return nil
@@ -261,9 +261,7 @@ type session struct {
 	// collector normally, the run's shared SimConfig.Sink in streaming
 	// mode. Never nil while the session runs.
 	sink      metrics.Sink
-	remaining []int // unmet dependency count per task
-	// levelWidth is tasks per DAG level (solo-task thread-speedup rule).
-	levelWidth []int
+	remaining []int32 // unmet dependency count per task
 	// ranks and costs are the per-task lookahead tables the configured
 	// policy consumes (HEFT upward ranks / b-levels, and estimated
 	// dedicated-resource execution times), computed once per workflow
@@ -478,9 +476,6 @@ func (r *simRun) addSession(wf *Workflow, tenant int32, ranks, costs []float64, 
 	r.nextData += int32(wf.Graph.NumData())
 	r.sessions = append(r.sessions, s)
 	r.active++
-	for _, lvl := range wf.Graph.Levels() {
-		s.levelWidth = append(s.levelWidth, len(lvl))
-	}
 	if r.faults != nil {
 		s.attempts = make([]int32, wf.Graph.Len())
 		s.doneTask = make([]bool, wf.Graph.Len())
@@ -507,19 +502,21 @@ func (r *simRun) addSession(wf *Workflow, tenant int32, ranks, costs []float64, 
 	// Seed the ready queue with dependency-free tasks in generation order.
 	// Every task is enqueued once in a fault-free run, so its input lists
 	// fit one slab sized to the workflow's reads.
+	g := wf.Graph
 	reads := 0
-	for _, t := range wf.Graph.Tasks() {
-		s.remaining[t.ID] = len(t.Deps())
-		for _, p := range t.Params {
-			if p.Reads() {
+	for id := range g.Len() {
+		s.remaining[id] = int32(len(g.Deps(id)))
+		_, dirs := g.Params(id)
+		for _, d := range dirs {
+			if d.Reads() {
 				reads++
 			}
 		}
 	}
 	r.reserveInputs(reads)
-	for _, t := range wf.Graph.Tasks() {
-		if s.remaining[t.ID] == 0 {
-			r.enqueue(s, t)
+	for id := range g.Len() {
+		if s.remaining[id] == 0 {
+			r.enqueue(s, id)
 		}
 	}
 	return s
@@ -612,11 +609,11 @@ func (r *simRun) releaseSlot(node, slot int) {
 // arena's recycled buffer serves the single-session path only: co-resident
 // multi-tenant sessions each need their own backing, so any session after
 // the first (and every session under a fair-share gate) allocates.
-func (r *simRun) grabRemaining(n int) []int {
+func (r *simRun) grabRemaining(n int) []int32 {
 	if a := r.cfg.Arena; a != nil && r.multi == nil && len(r.sessions) == 0 {
 		return a.grabRemaining(n)
 	}
-	return make([]int, n)
+	return make([]int32, n)
 }
 
 // borrowInputs returns a zero-length DataLoc slice with capacity n, carved
@@ -662,33 +659,34 @@ func (r *simRun) reserveInputs(n int) {
 // the dispatch gate panics on. Re-enqueues of an admitted task (retries,
 // crash re-queues, lineage waiters) bypass the quota — the task already
 // holds its unit.
-func (r *simRun) enqueue(s *session, t *dag.Task) {
+func (r *simRun) enqueue(s *session, task int) {
 	if r.failErr != nil {
 		return // fatal failure: the run is draining, nothing new starts
 	}
+	g := s.wf.Graph
 	ref := sched.TaskRef{
-		ID: t.ID, Name: t.Name, Enqueued: r.eng.Now(),
+		ID: task, Name: g.Name(task), Enqueued: r.eng.Now(),
 		Tenant: s.tenant, Session: s.idx,
 	}
 	// Lookahead policies read precomputed tables off the ref; stamping is
 	// a slice index, so the enqueue path stays allocation-free.
 	if s.ranks != nil {
-		ref.Rank = s.ranks[t.ID]
+		ref.Rank = s.ranks[task]
 	}
 	if s.costs != nil {
-		ref.Cost = s.costs[t.ID]
+		ref.Cost = s.costs[task]
 	}
+	ids, dirs := g.Params(task)
 	nReads := 0
-	for _, p := range t.Params {
-		if p.Reads() {
+	for _, d := range dirs {
+		if d.Reads() {
 			nReads++
 		}
 	}
 	if nReads > 0 {
-		ids := t.DataIDs()
 		ref.Inputs = r.borrowInputs(nReads)
-		for i, p := range t.Params {
-			if p.Reads() {
+		for i, d := range dirs {
+			if d.Reads() {
 				id := ids[i]
 				ref.Inputs = append(ref.Inputs,
 					sched.DataLoc{ID: s.gid(id), Bytes: s.wf.SizeByID(id)})
@@ -696,14 +694,14 @@ func (r *simRun) enqueue(s *session, t *dag.Task) {
 		}
 	}
 	if s.inFlight != nil {
-		s.inFlight[t.ID] = true
+		s.inFlight[task] = true
 	}
-	if m := r.multi; m != nil && !s.counted[t.ID] {
+	if m := r.multi; m != nil && !s.counted[task] {
 		if q := m.quota[s.tenant]; q > 0 && m.occupancy[s.tenant] >= q {
 			m.overflow[s.tenant].Push(ref)
 			return
 		}
-		s.counted[t.ID] = true
+		s.counted[task] = true
 		m.occupancy[s.tenant]++
 	}
 	r.queue.Push(ref)
@@ -806,7 +804,9 @@ type attempt struct {
 
 	ref    sched.TaskRef
 	s      *session
-	task   *dag.Task
+	level  int             // the task's DAG level
+	ids    []int32         // the task's parameter datum IDs (dag.Graph.Params)
+	dirs   []dag.Direction // their directions
 	prof   costmodel.Profile
 	dev    costmodel.DeviceKind
 	nodeID int
@@ -826,7 +826,7 @@ type attempt struct {
 	bodyStart  float64 // resources held: start of the recovery span
 	stageStart float64 // start of the stage in progress
 
-	// Cursors: the next input (ref.Inputs) or output (task.Params) and the
+	// Cursors: the next input (ref.Inputs) or output (ids/dirs) and the
 	// leg of its route being streamed.
 	in, out   int
 	route     storage.Path
@@ -854,7 +854,8 @@ func (r *simRun) newAttempt() *attempt {
 // freeAttempt returns a finished attempt to the pool, dropping its
 // references to the task it ran.
 func (r *simRun) freeAttempt(a *attempt) {
-	a.ref, a.s, a.task, a.node = sched.TaskRef{}, nil, nil, nil
+	a.ref, a.s, a.node = sched.TaskRef{}, nil, nil
+	a.ids, a.dirs = nil, nil
 	// Grows only to the run's peak number of tasks in flight.
 	r.freeAttempts = append(r.freeAttempts, a) //wfsimlint:allow hotalloc
 }
@@ -873,7 +874,7 @@ func (a *attempt) crashed() bool {
 // injection or straight to the session's sink (fault-free hot path).
 func (a *attempt) rec(core int, stage metrics.Stage, start, end float64) {
 	rec := metrics.Record{
-		TaskID: a.task.ID, TaskName: a.task.Name, Level: a.task.Level,
+		TaskID: a.ref.ID, TaskName: a.ref.Name, Level: a.level,
 		Node: a.nodeID, Core: core, Device: a.dev.String(),
 		Stage: stage, Start: start, End: end,
 	}
@@ -1024,7 +1025,7 @@ func (a *attempt) step() {
 				// the node's idle cores (NumPy/BLAS threading), which is why
 				// the paper's parallel-task time *drops* at the maximum
 				// block size (§5.3) instead of growing further.
-				if a.s.levelWidth[a.task.Level] == 1 {
+				if a.s.wf.Graph.LevelWidth(a.level) == 1 {
 					kt /= r.params.SoloThreadSpeedup
 				}
 				kt /= a.speed
@@ -1078,13 +1079,7 @@ func (a *attempt) step() {
 			// Serialization: CPU encode, then storage writes of every
 			// output.
 			a.stageStart = a.now()
-			ids := a.task.DataIDs()
-			var wroteBytes float64
-			for i, prm := range a.task.Params {
-				if prm.Writes() {
-					wroteBytes += a.s.wf.SizeByID(ids[i])
-				}
-			}
+			wroteBytes := a.s.wf.writtenBytes(a.ref.ID)
 			a.out = 0
 			a.state = stWrite
 			if wroteBytes > 0 && !a.cont.Wait(wroteBytes/r.params.SerRate/a.speed) {
@@ -1092,10 +1087,10 @@ func (a *attempt) step() {
 			}
 
 		case stWrite:
-			for a.out < len(a.task.Params) && !a.task.Params[a.out].Writes() {
+			for a.out < len(a.dirs) && !a.dirs[a.out].Writes() {
 				a.out++
 			}
-			if a.out == len(a.task.Params) {
+			if a.out == len(a.dirs) {
 				a.state = stSerDone
 				continue
 			}
@@ -1103,7 +1098,7 @@ func (a *attempt) step() {
 			a.state = stWriteLeg
 
 		case stWriteLeg:
-			id := a.task.DataIDs()[a.out]
+			id := a.ids[a.out]
 			if a.leg < a.route.N {
 				l := a.route.Links[a.leg]
 				a.leg++
@@ -1123,10 +1118,9 @@ func (a *attempt) step() {
 				// The node died while the attempt was writing; local copies
 				// of its outputs died with it (shared storage keeps them —
 				// Drop is a no-op there).
-				ids := a.task.DataIDs()
-				for i, prm := range a.task.Params {
-					if prm.Writes() {
-						r.store.Drop(a.s.gid(ids[i]))
+				for i, d := range a.dirs {
+					if d.Writes() {
+						r.store.Drop(a.s.gid(a.ids[i]))
 					}
 				}
 				a.abort(attemptCrashed)
@@ -1137,7 +1131,7 @@ func (a *attempt) step() {
 				for i := 0; i < a.recs.n; i++ {
 					a.s.sink.Observe(a.recs.recs[i])
 				}
-				if a.s.doneTask[a.task.ID] {
+				if a.s.doneTask[a.ref.ID] {
 					// A lineage re-execution of an already-completed producer.
 					r.stats.RecoveryWork += a.now() - a.bodyStart
 				}
@@ -1155,8 +1149,10 @@ func (a *attempt) step() {
 func (a *attempt) bindNode(nodeID int) {
 	r := a.r
 	a.s = r.sessions[a.ref.Session]
-	a.task = a.s.wf.Graph.Task(a.ref.ID)
-	a.prof = a.s.wf.Spec(a.task).Profile
+	g := a.s.wf.Graph
+	a.level = g.Level(a.ref.ID)
+	a.ids, a.dirs = g.Params(a.ref.ID)
+	a.prof = a.s.wf.SpecByID(a.ref.ID).Profile
 	a.dev = taskDevice(a.prof, r.cfg.Device)
 	a.nodeID, a.node = nodeID, r.clu.Node(nodeID)
 	a.speed = 1.0
@@ -1184,13 +1180,13 @@ func (a *attempt) locateInput() bool {
 	a.restage = !ok
 	if !ok {
 		if r.faults == nil {
-			r.panicUnknownRead(a.task, in.ID)
+			r.panicUnknownRead(a.ref, in.ID)
 		}
-		if prod := r.producerOf(a.s, a.task, in.ID); prod >= 0 {
+		if prod := r.producerOf(a.s, a.ref.ID, in.ID); prod >= 0 {
 			// The block was produced by an upstream task and died with a
 			// local disk: lineage recovery re-executes the producer; this
 			// attempt aborts and waits for it.
-			r.addWaiter(a.s, prod, a.task.ID)
+			r.addWaiter(a.s, prod, a.ref.ID)
 			a.abort(attemptLostInput)
 			return false
 		}
@@ -1222,7 +1218,7 @@ func (a *attempt) abort(out attemptOutcome) {
 	a.release()
 	r.stats.WastedWork += a.now() - a.bodyStart
 	a.s.sink.Observe(metrics.Record{
-		TaskID: a.task.ID, TaskName: a.task.Name, Level: a.task.Level,
+		TaskID: a.ref.ID, TaskName: a.ref.Name, Level: a.level,
 		Node: a.nodeID, Core: a.core, Device: a.dev.String(),
 		Stage: metrics.StageRecovery, Start: a.bodyStart, End: a.now(),
 	})
@@ -1232,7 +1228,7 @@ func (a *attempt) abort(out attemptOutcome) {
 // finish applies the recovery policy for the attempt's outcome, then
 // returns the attempt to the pool.
 func (a *attempt) finish(out attemptOutcome) {
-	r, s, task := a.r, a.s, a.task
+	r, s, task, name := a.r, a.s, a.ref.ID, a.ref.Name
 	r.freeAttempt(a)
 	switch out {
 	case attemptDone:
@@ -1240,7 +1236,7 @@ func (a *attempt) finish(out attemptOutcome) {
 			// Transient-failure exhaustion counts consecutive failures: a
 			// success (including lineage re-execution) proves the task can
 			// make progress and resets its budget.
-			s.attempts[task.ID] = 0
+			s.attempts[task] = 0
 		}
 		r.completeTask(s, task)
 	case attemptCrashed:
@@ -1248,13 +1244,13 @@ func (a *attempt) finish(out attemptOutcome) {
 		r.enqueue(s, task)
 	case attemptFailed:
 		r.stats.TransientFailures++
-		s.attempts[task.ID]++
-		n := int(s.attempts[task.ID])
+		s.attempts[task]++
+		n := int(s.attempts[task])
 		if n >= r.fcfg.MaxAttempts {
 			// Terminal failure path: the run aborts right after.
 			//wfsimlint:allow hotalloc
 			r.failErr = fmt.Errorf("runtime: task %d (%s) exhausted %d attempts under transient failures",
-				task.ID, task.Name, n)
+				task, name, n)
 			r.faults.Stop()
 			return
 		}
@@ -1269,23 +1265,23 @@ func (a *attempt) finish(out attemptOutcome) {
 // panicUnknownRead is the fault-free-path assertion for a missed block
 // read: with no injection, every input must have been placed or written
 // before its consumer dispatched, so a miss is a placement bug.
-func (r *simRun) panicUnknownRead(task *dag.Task, id int32) {
+func (r *simRun) panicUnknownRead(ref sched.TaskRef, id int32) {
 	panic(fmt.Sprintf("runtime: task %d (%s) read unknown block %d with fault injection off — block placement bug",
-		task.ID, task.Name, id))
+		ref.ID, ref.Name, id))
 }
 
 // producerOf returns the dependency of task that writes datum id (given
 // as a global ID), or -1 when no dependency produces it (the datum is a
 // workflow input). The scan is the lineage walk: dependencies hold every
 // producer the DAG's last-writer edge inference linked to this task.
-func (r *simRun) producerOf(s *session, task *dag.Task, id int32) int {
+func (r *simRun) producerOf(s *session, task int, id int32) int {
 	local := id - s.dataBase
-	for _, dep := range task.Deps() {
-		dt := s.wf.Graph.Task(dep)
-		ids := dt.DataIDs()
-		for i, prm := range dt.Params {
-			if prm.Writes() && ids[i] == local {
-				return dep
+	g := s.wf.Graph
+	for _, dep := range g.Deps(task) {
+		ids, dirs := g.Params(int(dep))
+		for i, d := range dirs {
+			if d.Writes() && ids[i] == local {
+				return int(dep)
 			}
 		}
 	}
@@ -1298,7 +1294,7 @@ func (r *simRun) addWaiter(s *session, prod, waiter int) {
 	s.waiters[prod] = append(s.waiters[prod], int32(waiter))
 	if !s.inFlight[prod] {
 		r.stats.LineageRecomputes++
-		r.enqueue(s, s.wf.Graph.Task(prod))
+		r.enqueue(s, prod)
 	}
 }
 
@@ -1306,39 +1302,40 @@ func (r *simRun) addWaiter(s *session, prod, waiter int) {
 // successor release on first completion, lineage-waiter wake-up on every
 // completion, quota return and session teardown when the workflow's last
 // task finishes.
-func (r *simRun) completeTask(s *session, task *dag.Task) {
-	r.releaseQuota(s, task.ID)
+func (r *simRun) completeTask(s *session, task int) {
+	r.releaseQuota(s, task)
+	g := s.wf.Graph
 	if r.faults == nil {
 		s.done++
-		for _, succ := range task.Succs() {
+		for _, succ := range g.Succs(task) {
 			s.remaining[succ]--
 			if s.remaining[succ] == 0 {
-				r.enqueue(s, s.wf.Graph.Task(succ))
+				r.enqueue(s, int(succ))
 			}
 		}
-		if s.done == s.wf.Graph.Len() {
+		if s.done == g.Len() {
 			r.finishSession(s)
 		}
 		return
 	}
-	s.inFlight[task.ID] = false
-	if !s.doneTask[task.ID] {
-		s.doneTask[task.ID] = true
+	s.inFlight[task] = false
+	if !s.doneTask[task] {
+		s.doneTask[task] = true
 		s.done++
-		for _, succ := range task.Succs() {
+		for _, succ := range g.Succs(task) {
 			s.remaining[succ]--
 			if s.remaining[succ] == 0 {
-				r.enqueue(s, s.wf.Graph.Task(succ))
+				r.enqueue(s, int(succ))
 			}
 		}
 	}
-	if ws := s.waiters[task.ID]; len(ws) > 0 {
-		s.waiters[task.ID] = ws[:0]
+	if ws := s.waiters[task]; len(ws) > 0 {
+		s.waiters[task] = ws[:0]
 		for _, w := range ws {
-			r.enqueue(s, s.wf.Graph.Task(int(w)))
+			r.enqueue(s, int(w))
 		}
 	}
-	if s.done == s.wf.Graph.Len() {
+	if s.done == g.Len() {
 		r.finishSession(s)
 	}
 }

@@ -12,10 +12,12 @@ import (
 
 // TestEngineStatsDeterministic runs the golden 256-block K-means GPU
 // configuration twice and demands identical engine counters. The counts
-// are pinned too: they are the event sequence's fingerprint, and the
-// values below are those of the coroutine engine the continuation
-// lifecycle replaced, so a port that adds, drops or reorders events fails
-// here even when the trace happens to survive.
+// are pinned too: they are the event sequence's fingerprint, so a port
+// that adds, drops or reorders events fails here even when the trace
+// happens to survive. Dispatched, InPlaceWaits and PeakPending are the
+// coroutine engine's values, which the continuation lifecycle and the
+// compact graph both kept; RingDispatched was pinned when the counter was
+// added.
 func TestEngineStatsDeterministic(t *testing.T) {
 	run := func() sim.Stats {
 		wf, err := kmeans.Build(kmeans.Config{
@@ -34,7 +36,7 @@ func TestEngineStatsDeterministic(t *testing.T) {
 	if a != b {
 		t.Fatalf("engine counters diverged:\n  first:  %+v\n  second: %+v", a, b)
 	}
-	want := sim.Stats{Dispatched: 47980, InPlaceWaits: 1190, PeakPending: 256}
+	want := sim.Stats{Dispatched: 47980, RingDispatched: 17130, InPlaceWaits: 1190, PeakPending: 256}
 	if a != want {
 		t.Fatalf("engine counters = %+v, want %+v", a, want)
 	}

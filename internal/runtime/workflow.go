@@ -145,13 +145,14 @@ func (w *Workflow) SetInput(key string, b *dataset.Block) {
 	w.SetSize(key, float64(b.Bytes()))
 }
 
-// AddTask submits a task: the spec plus its data parameters. Dependencies
-// are inferred from parameter directions exactly as in PyCOMPSs. Every
-// task of a workflow is added here, so task IDs index specOf.
-func (w *Workflow) AddTask(name string, spec TaskSpec, params ...dag.Param) *dag.Task {
-	t := w.Graph.Add(name, params...)
+// AddTask submits a task: the spec plus its data parameters, and returns
+// its ID. Dependencies are inferred from parameter directions exactly as
+// in PyCOMPSs. Every task of a workflow is added here, so task IDs index
+// specOf.
+func (w *Workflow) AddTask(name string, spec TaskSpec, params ...dag.Param) int {
+	id := w.Graph.Add(name, params...)
 	w.specOf = append(w.specOf, w.specIndex(spec))
-	return t
+	return id
 }
 
 // specIndex returns spec's index in w.specs, appending it unless it is a
@@ -173,36 +174,29 @@ func (w *Workflow) specIndex(spec TaskSpec) int32 {
 	return i
 }
 
-// Spec returns the TaskSpec attached to a DAG task.
-func (w *Workflow) Spec(t *dag.Task) TaskSpec {
-	if t.ID >= len(w.specOf) {
+// Spec returns the TaskSpec attached to a DAG task (SpecByID).
+func (w *Workflow) Spec(t *dag.Task) TaskSpec { return w.SpecByID(t.ID) }
+
+// SpecByID returns the TaskSpec attached to task id.
+func (w *Workflow) SpecByID(id int) TaskSpec {
+	if id >= len(w.specOf) {
 		return TaskSpec{}
 	}
-	return w.specs[w.specOf[t.ID]]
+	return w.specs[w.specOf[id]]
 }
 
-// readBytes sums the serialized sizes of the task's read parameters.
-func (w *Workflow) readBytes(t *dag.Task) float64 {
-	var sum float64
-	ids := t.DataIDs()
-	for i, p := range t.Params {
-		if p.Reads() {
-			sum += w.SizeByID(ids[i])
+// writtenBytes sums the sizes of every datum task id writes, in parameter
+// order: the volume it serializes, and the payload its consumers must
+// acquire.
+func (w *Workflow) writtenBytes(id int) float64 {
+	ids, dirs := w.Graph.Params(id)
+	var b float64
+	for i, d := range dirs {
+		if d.Writes() {
+			b += w.SizeByID(ids[i])
 		}
 	}
-	return sum
-}
-
-// writeBytes sums the serialized sizes of the task's written parameters.
-func (w *Workflow) writeBytes(t *dag.Task) float64 {
-	var sum float64
-	ids := t.DataIDs()
-	for i, p := range t.Params {
-		if p.Writes() {
-			sum += w.SizeByID(ids[i])
-		}
-	}
-	return sum
+	return b
 }
 
 // InputIDs returns, in first-use order, the datum ID of every datum that
@@ -213,16 +207,16 @@ func (w *Workflow) InputIDs() []int32 {
 	written := make([]bool, nd)
 	seen := make([]bool, nd)
 	var out []int32
-	for _, t := range w.Graph.Tasks() {
-		ids := t.DataIDs()
-		for i, p := range t.Params {
-			if id := ids[i]; p.Reads() && !written[id] && !seen[id] {
+	for t := range w.Graph.Len() {
+		ids, dirs := w.Graph.Params(t)
+		for i, d := range dirs {
+			if id := ids[i]; d.Reads() && !written[id] && !seen[id] {
 				seen[id] = true
 				out = append(out, id)
 			}
 		}
-		for i, p := range t.Params {
-			if p.Writes() {
+		for i, d := range dirs {
+			if d.Writes() {
 				written[ids[i]] = true
 			}
 		}
@@ -247,28 +241,33 @@ func (w *Workflow) Validate() error {
 	if err := w.Graph.Validate(); err != nil {
 		return fmt.Errorf("workflow %s: %w", w.Name, err)
 	}
-	missing := make([]bool, w.Graph.NumData())
-	nMissing := 0
-	for _, t := range w.Graph.Tasks() {
-		for _, id := range t.DataIDs() {
-			if (int(id) >= len(w.sized) || !w.sized[id]) && !missing[id] {
-				missing[id] = true
-				nMissing++
+	sized := func(id int32) bool { return int(id) < len(w.sized) && w.sized[id] }
+	for t := range w.Graph.Len() {
+		for _, id := range w.Graph.DataIDs(t) {
+			if !sized(id) {
+				return w.missingSizes(sized)
 			}
 		}
-	}
-	if nMissing > 0 {
-		keys := make([]string, 0, nMissing)
-		for id, m := range missing {
-			if m {
-				keys = append(keys, w.Graph.Data().Name(int32(id)))
-			}
-		}
-		sort.Strings(keys)
-		return fmt.Errorf("workflow %s: %d datum(s) without declared size, e.g. %q",
-			w.Name, len(keys), keys[0])
 	}
 	return nil
+}
+
+// missingSizes reports every datum a task names without a declared size:
+// Validate's error path, off the path a valid workflow takes.
+func (w *Workflow) missingSizes(sized func(int32) bool) error {
+	missing := make([]bool, w.Graph.NumData())
+	var keys []string
+	for t := range w.Graph.Len() {
+		for _, id := range w.Graph.DataIDs(t) {
+			if !sized(id) && !missing[id] {
+				missing[id] = true
+				keys = append(keys, w.Graph.Data().Name(id))
+			}
+		}
+	}
+	sort.Strings(keys)
+	return fmt.Errorf("workflow %s: %d datum(s) without declared size, e.g. %q",
+		w.Name, len(keys), keys[0])
 }
 
 // Store is the local backend's in-memory data space: materialized blocks

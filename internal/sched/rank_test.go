@@ -21,8 +21,7 @@ func randomGraph(seed uint64, n int) (*dag.Graph, []float64) {
 		params := []dag.Param{
 			{Data: g.Datum(data[rng.IntN(len(data))]), Dir: dag.Direction(rng.IntN(3))},
 		}
-		task := g.Add("t", params...)
-		weights[task.ID] = rng.Float64()*5 + 0.1
+		weights[g.Add("t", params...)] = rng.Float64()*5 + 0.1
 	}
 	return g, weights
 }
@@ -36,7 +35,7 @@ func TestBLevelMatchesCriticalPath(t *testing.T) {
 		g, weights := randomGraph(seed, n)
 		wfn := func(task *dag.Task) float64 { return weights[task.ID] }
 		levels := BLevels(g, wfn)
-		path, length := g.CriticalPath(wfn)
+		path, length := g.CriticalPath(func(id int) float64 { return weights[id] })
 		// The first task of the critical path heads the longest
 		// downward chain, which is exactly its bottom level.
 		if math.Abs(levels[path[0]]-length) > 1e-9 {
@@ -51,7 +50,7 @@ func TestBLevelMatchesCriticalPath(t *testing.T) {
 				maxLevel = l
 			}
 			var below float64
-			for _, succ := range g.Task(id).Succs() {
+			for _, succ := range g.Succs(id) {
 				if levels[succ] > below {
 					below = levels[succ]
 				}
@@ -79,8 +78,9 @@ func TestUpwardRanksReduceToBLevels(t *testing.T) {
 		wfn := func(task *dag.Task) float64 { return weights[task.ID] }
 		levels := BLevels(g, wfn)
 		ranks := UpwardRanks(g, wfn, nil)
+		byID := Ranks(g, func(id int) float64 { return weights[id] }, nil)
 		for id := range levels {
-			if ranks[id] != levels[id] {
+			if ranks[id] != levels[id] || byID[id] != levels[id] {
 				return false
 			}
 		}
@@ -95,8 +95,9 @@ func TestUpwardRanksReduceToBLevels(t *testing.T) {
 		}
 		// Pricing communication can only push ranks up.
 		comm := UpwardRanks(g, wfn, func(from, to *dag.Task) float64 { return 0.7 })
+		commByID := Ranks(g, func(id int) float64 { return weights[id] }, func(from, to int) float64 { return 0.7 })
 		for id := range levels {
-			if comm[id] < levels[id]-1e-9 {
+			if comm[id] < levels[id]-1e-9 || commByID[id] != comm[id] {
 				return false
 			}
 		}

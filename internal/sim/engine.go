@@ -266,6 +266,9 @@ type Engine struct {
 type Stats struct {
 	// Dispatched counts events popped from the schedule and run.
 	Dispatched uint64
+	// RingDispatched counts the dispatched events served by the
+	// zero-delay ring rather than the heap.
+	RingDispatched uint64
 	// InPlaceWaits counts waits that advanced the clock without scheduling
 	// an event (see Cont.Wait).
 	InPlaceWaits uint64
@@ -328,6 +331,7 @@ func (e *Engine) popNode() *event {
 	e.ringHead++
 	e.ringLive--
 	n.index = -1
+	e.stats.RingDispatched++
 	return n
 }
 

@@ -115,7 +115,7 @@ func TestRandomWorkflowsExecute(t *testing.T) {
 		// last stage ended.
 		for _, task := range wf.Graph.Tasks() {
 			for _, d := range task.Deps() {
-				if taskStart[task.ID] < taskEnd[d]-1e-9 {
+				if taskStart[task.ID] < taskEnd[int(d)]-1e-9 {
 					return false
 				}
 			}

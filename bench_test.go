@@ -565,7 +565,7 @@ func BenchmarkWorkStealNext(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ref, ok := s.Next(&q)
+		ref, ok := s.Next(&q, 0)
 		if !ok {
 			b.Fatal("queue empty")
 		}

@@ -94,6 +94,31 @@ func TestCmdRunErrors(t *testing.T) {
 	}
 }
 
+// TestCmdServiceBadArrivals drives the service subcommand with arrival
+// traces whose instants the engine cannot schedule: a NaN gap and an
+// infinite gap, which the service config rejects, and finite gaps whose
+// running sum overflows to +Inf, which ClusterSim.Submit rejects. Each
+// must come back as an error, not a panic.
+func TestCmdServiceBadArrivals(t *testing.T) {
+	for _, c := range []struct{ arrivals, want string }{
+		{"0,NaN", "interarrival[1] = NaN"},
+		{"0,+Inf", "interarrival[1] = +Inf"},
+		{"0,1e308,1e308", "arrival instant +Inf"},
+	} {
+		t.Run(c.arrivals, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("panicked: %v", p)
+				}
+			}()
+			err := cmdService([]string{"-tenants", "1", "-arrivals", c.arrivals, "-grid", "16"})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("error %v, want one mentioning %q", err, c.want)
+			}
+		})
+	}
+}
+
 func TestCmdDAG(t *testing.T) {
 	for _, workload := range []string{"kmeans", "matmul", "fma"} {
 		out := captureStdout(t, func() error {

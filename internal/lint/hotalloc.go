@@ -19,7 +19,7 @@ import (
 // Roots (the steady-state entry points, mirrored from the alloc guard's
 // coverage): the sim event loop (Engine.Run), the runtime dispatch path
 // (grantNext, the task lifecycle's attempt.step, enqueue, completeTask),
-// every scheduler's Place/Next/NextFor, and the streaming metrics sink
+// every scheduler's Place and Next, and the streaming metrics sink
 // (Aggregates.Observe). Additional roots can be declared by annotating a
 // function's doc comment with //wfsimlint:hotpath. Reachability is
 // computed over the module call graph, conservatively including function
@@ -65,7 +65,6 @@ var hotRoots = []hotRootSpec{
 	{"wfsim/internal/runtime", "simRun", "completeTask"},
 	{"wfsim/internal/sched", "", "Place"},
 	{"wfsim/internal/sched", "", "Next"},
-	{"wfsim/internal/sched", "", "NextFor"},
 	{"wfsim/internal/metrics", "Aggregates", "Observe"},
 }
 

@@ -3,9 +3,9 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"wfsim/internal/metrics"
-	"wfsim/internal/sched"
 )
 
 // TenantSpec configures one workload stream sharing the cluster.
@@ -49,89 +49,55 @@ type WorkflowResult struct {
 // finished.
 type ClusterSim struct {
 	run         *simRun
-	tenants     []TenantSpec
 	submissions int
 	ran         bool
 }
 
 // NewClusterSim builds a shared cluster for the given tenants. The
-// config is validated exactly like RunSim's; at least one tenant is
-// required.
+// config is resolved by the same check RunSim applies; at least one
+// tenant is required.
 func NewClusterSim(cfg SimConfig, tenants []TenantSpec) (*ClusterSim, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	if len(tenants) == 0 {
-		return nil, errors.New("runtime: NewClusterSim needs at least one tenant")
-	}
-	if cfg.NodeSpeed != nil && len(cfg.NodeSpeed) != cfg.Cluster.Nodes {
-		return nil, fmt.Errorf("runtime: NodeSpeed has %d entries for %d nodes",
-			len(cfg.NodeSpeed), cfg.Cluster.Nodes)
-	}
-	if err := cfg.Params.Validate(); err != nil {
-		return nil, fmt.Errorf("runtime: %w", err)
-	}
-	fcfg := cfg.Faults.WithDefaults()
-	if fcfg.Enabled() {
-		if err := fcfg.Validate(); err != nil {
-			return nil, fmt.Errorf("runtime: %w", err)
-		}
-	}
-	run, err := newSimRun(cfg, 0)
+	cfg, err := cfg.resolve()
 	if err != nil {
 		return nil, err
 	}
-	m := &fairShare{
-		weights:   make([]float64, len(tenants)),
-		served:    make([]float64, len(tenants)),
-		quota:     make([]int, len(tenants)),
-		occupancy: make([]int, len(tenants)),
-		overflow:  make([]sched.Queue, len(tenants)),
+	if len(tenants) == 0 {
+		return nil, errors.New("runtime: NewClusterSim needs at least one tenant")
 	}
-	for i, t := range tenants {
-		w := t.Weight
-		if w <= 0 {
-			w = 1
-		}
-		m.weights[i] = w
-		if t.Quota > 0 {
-			m.quota[i] = t.Quota
-		}
+	run, err := newSimRun(cfg, 0, tenants)
+	if err != nil {
+		return nil, err
 	}
-	run.multi = m
-	return &ClusterSim{run: run, tenants: tenants}, nil
+	return &ClusterSim{run: run}, nil
 }
 
 // Submit registers one workflow arrival for a tenant at virtual instant
-// at (relative to the shared clock's origin). The workflow is validated
-// and memory-preflighted immediately; its session is created when the
-// clock reaches the arrival instant. onDone (optional) fires engine-side
-// at the workflow's completion instant — while other sessions keep
-// running — and receives the per-workflow result. Submissions must
-// precede Run.
+// at (relative to the shared clock's origin), which must be finite and
+// non-negative. The workflow is admitted immediately, through the same
+// step as RunSim's (validation, memory preflight, lookahead tables); its
+// session is created when the clock reaches the arrival instant. onDone
+// (optional) fires engine-side at the workflow's completion instant —
+// while other sessions keep running — and receives the per-workflow
+// result. Submissions must precede Run.
 func (c *ClusterSim) Submit(tenant int, wf *Workflow, at float64, onDone func(WorkflowResult)) error {
 	if c.ran {
 		return errors.New("runtime: Submit after Run")
 	}
-	if tenant < 0 || tenant >= len(c.tenants) {
-		return fmt.Errorf("runtime: tenant %d out of range [0, %d)", tenant, len(c.tenants))
+	r := c.run
+	if tenant < 0 || tenant >= len(r.gate) {
+		return fmt.Errorf("runtime: tenant %d out of range [0, %d)", tenant, len(r.gate))
 	}
-	if at < 0 {
-		return fmt.Errorf("runtime: negative arrival instant %v", at)
+	if !(at >= 0) || math.IsInf(at, 1) {
+		return fmt.Errorf("runtime: arrival instant %v is not a finite non-negative time", at)
 	}
-	if err := wf.Validate(); err != nil {
-		return err
-	}
-	if err := preflightMemory(wf, c.run.cfg); err != nil {
+	// Admission runs at submission time, outside engine context: the
+	// arrival event only registers the session, keeping the engine-side
+	// path free of DAG walks and allocations.
+	ranks, costs, err := admit(wf, &r.cfg)
+	if err != nil {
 		return err
 	}
 	c.submissions++
-	r := c.run
-	// Lookahead tables are built at submission time, outside engine
-	// context: the arrival event only registers the session, keeping the
-	// engine-side path free of DAG walks and allocations.
-	ranks, costs := rankTables(wf, &r.cfg)
 	r.pendingSubmits++
 	r.eng.Schedule(at, func() {
 		r.pendingSubmits--

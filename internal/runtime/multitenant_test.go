@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -22,10 +23,11 @@ func traceCSV(t *testing.T, c *metrics.Collector) string {
 	return buf.String()
 }
 
-// TestClusterSimSingleTenantMatchesRunSim pins that the multi-tenant path
-// is a strict generalization: one tenant, one workflow arriving at 0,
-// produces the exact trace RunSim produces, for every policy (NextFor
-// restricted to the only tenant must equal Next).
+// TestClusterSimSingleTenantMatchesRunSim pins that RunSim is one session
+// on the same fair-share gate ClusterSim drives: one tenant, one workflow
+// arriving at 0, produces the exact trace RunSim produces, for every
+// policy: entering through an arrival event, with storage sized lazily,
+// changes nothing.
 func TestClusterSimSingleTenantMatchesRunSim(t *testing.T) {
 	for _, pol := range sched.Policies() {
 		cfg := SimConfig{Device: costmodel.GPU, Policy: pol, Storage: storage.Local, Seed: 7}
@@ -214,8 +216,12 @@ func TestClusterSimUsageErrors(t *testing.T) {
 	if err := cs.Submit(1, fanWorkflow(1, testProf), 0, nil); err == nil {
 		t.Error("Submit to unknown tenant accepted")
 	}
-	if err := cs.Submit(0, fanWorkflow(1, testProf), -1, nil); err == nil {
-		t.Error("Submit at negative instant accepted")
+	// An instant the engine cannot schedule is a Submit error, not a
+	// panic at Run.
+	for _, at := range []float64{-1, math.Inf(-1), math.NaN(), math.Inf(1)} {
+		if err := cs.Submit(0, fanWorkflow(1, testProf), at, nil); err == nil {
+			t.Errorf("Submit at instant %v accepted", at)
+		}
 	}
 	if err := cs.Run(); err == nil {
 		t.Error("Run with no submissions accepted")
@@ -236,10 +242,15 @@ func TestClusterSimUsageErrors(t *testing.T) {
 }
 
 // TestSimConfigValidate covers the explicit-rejection satellite: invalid
-// cluster shapes and out-of-range fault rates error out instead of being
-// silently patched or ignored.
+// cluster shapes, cost-model parameters, node speeds and out-of-range
+// fault rates error out instead of being silently patched or ignored.
+// RunSim and NewClusterSim share one resolution step, so every entry must
+// be rejected by both, with the same message.
 func TestSimConfigValidate(t *testing.T) {
 	ok := fanWorkflow(1, testProf)
+	badParams := costmodel.DefaultParams()
+	badParams.SerialRate = 0
+	mini := cluster.Spec{Name: "mini", Nodes: 2, CoresPerNode: 4, GPUsPerNode: 2}
 	cases := []struct {
 		name string
 		cfg  SimConfig
@@ -251,20 +262,36 @@ func TestSimConfigValidate(t *testing.T) {
 		{"negative MTBF", SimConfig{Faults: faults.Config{NodeMTBF: -1}}, "negative time constant"},
 		{"fail prob over 1", SimConfig{Faults: faults.Config{TaskFailProb: 1.5}}, "TaskFailProb"},
 		{"negative backoff", SimConfig{Faults: faults.Config{RetryBackoff: -0.1}}, "RetryBackoff"},
+		{"straggler factor over 1", SimConfig{Faults: faults.Config{StragglerFactor: 2}}, "StragglerFactor"},
 		{"bad node speed", SimConfig{NodeSpeed: []float64{1, 0, 1}}, "NodeSpeed"},
+		{"node speed length", SimConfig{Cluster: mini, NodeSpeed: []float64{1, 1, 1}}, "NodeSpeed has 3 entries for 2 nodes"},
+		{"default cluster speed length", SimConfig{NodeSpeed: []float64{1}}, "NodeSpeed has 1 entries"},
+		{"invalid params", SimConfig{Params: &badParams}, "SerialRate"},
 	}
 	for _, c := range cases {
-		_, err := RunSim(ok, c.cfg)
-		if err == nil {
-			t.Errorf("%s: accepted", c.name)
-			continue
+		_, runErr := RunSim(ok, c.cfg)
+		_, csErr := NewClusterSim(c.cfg, []TenantSpec{{}})
+		for _, e := range []struct {
+			entry string
+			err   error
+		}{{"RunSim", runErr}, {"NewClusterSim", csErr}} {
+			if e.err == nil {
+				t.Errorf("%s: %s accepted", c.name, e.entry)
+				continue
+			}
+			if !strings.Contains(e.err.Error(), c.want) {
+				t.Errorf("%s: %s error %q does not mention %q", c.name, e.entry, e.err, c.want)
+			}
 		}
-		if !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
+		if runErr != nil && csErr != nil && runErr.Error() != csErr.Error() {
+			t.Errorf("%s: RunSim says %q, NewClusterSim says %q", c.name, runErr, csErr)
 		}
 	}
 	// The zero config stays legal: defaults still apply.
 	if _, err := RunSim(ok, SimConfig{}); err != nil {
 		t.Errorf("zero config rejected: %v", err)
+	}
+	if _, err := NewClusterSim(SimConfig{}, []TenantSpec{{}}); err != nil {
+		t.Errorf("zero config rejected by NewClusterSim: %v", err)
 	}
 }

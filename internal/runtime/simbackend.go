@@ -95,6 +95,30 @@ func (c SimConfig) Validate() error {
 	return nil
 }
 
+// resolve is the one configuration check RunSim and NewClusterSim share:
+// Validate, then the defaults, then what only the defaulted config can
+// show — NodeSpeed against the final node count, the cost-model
+// parameters and the fault config with its defaults applied.
+func (c SimConfig) resolve() (SimConfig, error) {
+	if err := c.Validate(); err != nil {
+		return c, err
+	}
+	c = c.withDefaults()
+	if c.NodeSpeed != nil && len(c.NodeSpeed) != c.Cluster.Nodes {
+		return c, fmt.Errorf("runtime: NodeSpeed has %d entries for %d nodes",
+			len(c.NodeSpeed), c.Cluster.Nodes)
+	}
+	if err := c.Params.Validate(); err != nil {
+		return c, fmt.Errorf("runtime: %w", err)
+	}
+	if fcfg := c.Faults.WithDefaults(); fcfg.Enabled() {
+		if err := fcfg.Validate(); err != nil {
+			return c, fmt.Errorf("runtime: %w", err)
+		}
+	}
+	return c, nil
+}
+
 // FaultStats summarizes what failure injection did to a run and what
 // recovery cost. All fields are zero when injection is disabled.
 type FaultStats struct {
@@ -143,67 +167,49 @@ type SimResult struct {
 	SchedDecisions int
 	// Faults reports failure-injection activity (zero when disabled).
 	Faults FaultStats
+	// Stats holds the engine's deterministic activity counters (events
+	// dispatched, ring-served events, in-place waits, peak pending
+	// events): the event sequence's fingerprint, for tests and profiling.
+	Stats sim.Stats
 }
 
 // RunSim executes the workflow on the simulated cluster and returns the
 // collected metrics. It returns costmodel.ErrGPUOOM / ErrHostOOM when any
 // task's footprint exceeds device/host memory — the "GPU OOM" and "CPU GPU
 // OOM" annotations in the paper's figures — without running the workflow,
-// matching how an OOM aborts the paper's real executions.
+// matching how an OOM aborts the paper's real executions. The run is one
+// session of one default tenant on the same fair-share gate ClusterSim
+// drives.
 func RunSim(wf *Workflow, cfg SimConfig) (*SimResult, error) {
-	res, _, err := RunSimStats(wf, cfg)
-	return res, err
-}
-
-// RunSimStats is RunSim, also reporting the engine's deterministic activity
-// counters (events dispatched, in-place waits, peak pending events): the
-// event sequence's fingerprint, for tests and profiling.
-func RunSimStats(wf *Workflow, cfg SimConfig) (*SimResult, sim.Stats, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, sim.Stats{}, err
-	}
-	cfg = cfg.withDefaults()
-	if err := wf.Validate(); err != nil {
-		return nil, sim.Stats{}, err
-	}
-	if cfg.NodeSpeed != nil && len(cfg.NodeSpeed) != cfg.Cluster.Nodes {
-		return nil, sim.Stats{}, fmt.Errorf("runtime: NodeSpeed has %d entries for %d nodes",
-			len(cfg.NodeSpeed), cfg.Cluster.Nodes)
-	}
-	if err := cfg.Params.Validate(); err != nil {
-		return nil, sim.Stats{}, fmt.Errorf("runtime: %w", err)
-	}
-	fcfg := cfg.Faults.WithDefaults()
-	if fcfg.Enabled() {
-		if err := fcfg.Validate(); err != nil {
-			return nil, sim.Stats{}, fmt.Errorf("runtime: %w", err)
-		}
-	}
-	if err := preflightMemory(wf, cfg); err != nil {
-		return nil, sim.Stats{}, err
-	}
-
-	run, err := newSimRun(cfg, wf.Graph.NumData())
+	cfg, err := cfg.resolve()
 	if err != nil {
-		return nil, sim.Stats{}, err
+		return nil, err
 	}
-	ranks, costs := rankTables(wf, &cfg)
+	ranks, costs, err := admit(wf, &cfg)
+	if err != nil {
+		return nil, err
+	}
+	run, err := newSimRun(cfg, wf.Graph.NumData(), []TenantSpec{{}})
+	if err != nil {
+		return nil, err
+	}
 	s := run.addSession(wf, 0, ranks, costs, nil)
 
 	if err := run.eng.Run(); err != nil {
-		return nil, sim.Stats{}, fmt.Errorf("runtime: simulation failed: %w", err)
+		return nil, fmt.Errorf("runtime: simulation failed: %w", err)
 	}
 	if run.failErr != nil {
-		return nil, sim.Stats{}, run.failErr
+		return nil, run.failErr
 	}
 	if s.done != wf.Graph.Len() {
-		return nil, sim.Stats{}, fmt.Errorf("runtime: %d of %d tasks completed", s.done, wf.Graph.Len())
+		return nil, fmt.Errorf("runtime: %d of %d tasks completed", s.done, wf.Graph.Len())
 	}
 
 	res := &SimResult{
 		Collector:      s.collector,
 		Makespan:       run.eng.Now(),
 		SchedDecisions: s.done,
+		Stats:          run.eng.Stats(),
 	}
 	if run.faults != nil {
 		run.stats.Episodes = run.faults.Episodes()
@@ -216,21 +222,27 @@ func RunSimStats(wf *Workflow, cfg SimConfig) (*SimResult, sim.Stats, error) {
 		run.eng.Release(&a.nodes)
 		a.keepAttempts(run.freeAttempts)
 	}
-	return res, run.eng.Stats(), nil
+	return res, nil
 }
 
-// preflightMemory checks every task's footprint at its assigned device
-// before any simulation runs, matching how an OOM aborts the paper's real
-// executions before useful work completes.
-func preflightMemory(wf *Workflow, cfg SimConfig) error {
+// admit is the one admission step RunSim and ClusterSim.Submit share: it
+// validates the workflow, checks every task's footprint at its assigned
+// device before any simulation runs (an OOM aborts the paper's real
+// executions before useful work completes), and builds the workflow's
+// lookahead tables outside engine context. cfg must be resolved.
+func admit(wf *Workflow, cfg *SimConfig) (ranks, costs []float64, err error) {
+	if err := wf.Validate(); err != nil {
+		return nil, nil, err
+	}
 	for id := range wf.Graph.Len() {
 		spec := wf.SpecByID(id)
 		dev := taskDevice(spec.Profile, cfg.Device)
 		if err := cfg.Params.CheckMemory(spec.Profile, dev); err != nil {
-			return fmt.Errorf("task %d (%s): %w", id, wf.Graph.Name(id), err)
+			return nil, nil, fmt.Errorf("task %d (%s): %w", id, wf.Graph.Name(id), err)
 		}
 	}
-	return nil
+	ranks, costs = rankTables(wf, cfg)
+	return ranks, costs, nil
 }
 
 // taskDevice applies the paper's assignment rule: serial tasks to CPUs;
@@ -288,40 +300,56 @@ type session struct {
 	waiters  [][]int32 // tasks parked on a producer's re-execution
 
 	// counted marks tasks currently holding one unit of their tenant's
-	// admission quota; nil outside multi-tenant mode.
+	// admission quota; nil when the tenant has no quota.
 	counted []bool
 }
 
 // gid maps a workflow-local datum ID into the shared global ID space.
 func (s *session) gid(id int32) int32 { return id + s.dataBase }
 
-// fairShare is the multi-tenant dispatch gate: weighted fair-share tenant
-// selection at every grant, plus per-tenant admission quotas with
-// overflow parking. nil in single-workflow runs, whose dispatch path is
-// byte-identical to the pre-multi-tenant runtime.
-type fairShare struct {
-	weights   []float64
-	served    []float64     // grants charged per tenant (stride accounting)
-	quota     []int         // max concurrently admitted tasks (0 = unlimited)
-	occupancy []int         // admitted (queued or running) tasks per tenant
-	overflow  []sched.Queue // refs parked over quota, admitted FIFO on release
+// tenantShare is one tenant's state at the fair-share gate.
+type tenantShare struct {
+	weight    float64
+	served    float64     // grants charged (stride accounting)
+	quota     int         // max concurrently admitted tasks (0 = unlimited)
+	occupancy int         // admitted (queued or running) tasks, tracked under a quota
+	overflow  sched.Queue // refs parked over quota, admitted FIFO on release
+}
+
+// fairShare is the dispatch gate every run goes through: weighted
+// fair-share tenant selection at every grant, plus per-tenant admission
+// quotas with overflow parking. RunSim's gate holds one default tenant,
+// which every grant picks.
+type fairShare []tenantShare
+
+// newFairShare builds the gate for the given tenants.
+func newFairShare(tenants []TenantSpec) fairShare {
+	m := make(fairShare, len(tenants))
+	for i, t := range tenants {
+		w := t.Weight
+		if w <= 0 {
+			w = 1
+		}
+		m[i] = tenantShare{weight: w, quota: max(t.Quota, 0)}
+	}
+	return m
 }
 
 // pick selects the tenant to dispatch for: the backlogged tenant with the
 // lowest served/weight pass, lowest tenant ID on ties (deterministic).
-func (m *fairShare) pick(q *sched.Queue) int32 {
+func (m fairShare) pick(q *sched.Queue) int32 {
 	best := int32(-1)
 	var bestPass float64
-	for t := range m.weights {
+	for t := range m {
 		if q.TenantLen(int32(t)) == 0 {
 			continue
 		}
-		if pass := m.served[t] / m.weights[t]; best < 0 || pass < bestPass {
+		if pass := m[t].served / m[t].weight; best < 0 || pass < bestPass {
 			best, bestPass = int32(t), pass
 		}
 	}
 	if best >= 0 {
-		m.served[best]++
+		m[best].served++
 	}
 	return best
 }
@@ -353,7 +381,7 @@ type simRun struct {
 	active         int   // sessions submitted and not yet finished
 	pendingSubmits int   // arrival events scheduled but not yet fired
 	nextData       int32 // next free global datum ID
-	multi          *fairShare
+	gate           fairShare
 
 	// Fault-injection state; every field below is nil/zero and untouched
 	// in a fault-free run, keeping the hot path allocation-free.
@@ -367,9 +395,9 @@ type simRun struct {
 // newSimRun builds the substrate: engine, cluster, storage, scheduler,
 // dispatch bindings and (when enabled) the fault injector, scheduled
 // before any session's arrivals so the fault event stream matches the
-// pre-refactor runtime exactly. The caller applies withDefaults and
-// validates first.
-func newSimRun(cfg SimConfig, numDataHint int) (*simRun, error) {
+// pre-refactor runtime exactly, and the fair-share gate over the given
+// tenants. The caller resolves cfg first.
+func newSimRun(cfg SimConfig, numDataHint int, tenants []TenantSpec) (*simRun, error) {
 	var eng *sim.Engine
 	if cfg.Arena != nil {
 		eng = sim.NewIn(&cfg.Arena.nodes)
@@ -392,6 +420,7 @@ func newSimRun(cfg SimConfig, numDataHint int) (*simRun, error) {
 		cfg: cfg, params: cfg.Params,
 		eng: eng, clu: clu, store: store, scheduler: scheduler,
 		slots: make([][]uint64, cfg.Cluster.Nodes),
+		gate:  newFairShare(tenants),
 	}
 	if a := cfg.Arena; a != nil {
 		r.load = a.grabLoad(cfg.Cluster.Nodes)
@@ -482,7 +511,7 @@ func (r *simRun) addSession(wf *Workflow, tenant int32, ranks, costs []float64, 
 		s.inFlight = make([]bool, wf.Graph.Len())
 		s.waiters = make([][]int32, wf.Graph.Len())
 	}
-	if r.multi != nil {
+	if r.gate[tenant].quota > 0 {
 		s.counted = make([]bool, wf.Graph.Len())
 	}
 
@@ -606,11 +635,10 @@ func (r *simRun) releaseSlot(node, slot int) {
 }
 
 // grabRemaining returns zeroed dependency counters for one session. The
-// arena's recycled buffer serves the single-session path only: co-resident
-// multi-tenant sessions each need their own backing, so any session after
-// the first (and every session under a fair-share gate) allocates.
+// arena's recycled buffer serves the run's first session only: co-resident
+// sessions each need their own backing, so any later session allocates.
 func (r *simRun) grabRemaining(n int) []int32 {
-	if a := r.cfg.Arena; a != nil && r.multi == nil && len(r.sessions) == 0 {
+	if a := r.cfg.Arena; a != nil && len(r.sessions) == 0 {
 		return a.grabRemaining(n)
 	}
 	return make([]int32, n)
@@ -653,12 +681,11 @@ func (r *simRun) reserveInputs(n int) {
 // The enqueue instant rides with the ref so queue disciplines that reorder
 // dispatch still attribute the correct wait.
 //
-// In multi-tenant mode the tenant's admission quota is enforced here, not
-// at the grant: a ref over quota parks in the tenant's overflow queue and
-// files no request, preserving the one-request-per-queued-ref invariant
-// the dispatch gate panics on. Re-enqueues of an admitted task (retries,
-// crash re-queues, lineage waiters) bypass the quota — the task already
-// holds its unit.
+// A tenant's admission quota is enforced here, not at the grant: a ref
+// over quota parks in the tenant's overflow queue and files no request,
+// preserving the one-request-per-queued-ref invariant the dispatch gate
+// panics on. Re-enqueues of an admitted task (retries, crash re-queues,
+// lineage waiters) bypass the quota — the task already holds its unit.
 func (r *simRun) enqueue(s *session, task int) {
 	if r.failErr != nil {
 		return // fatal failure: the run is draining, nothing new starts
@@ -696,13 +723,14 @@ func (r *simRun) enqueue(s *session, task int) {
 	if s.inFlight != nil {
 		s.inFlight[task] = true
 	}
-	if m := r.multi; m != nil && !s.counted[task] {
-		if q := m.quota[s.tenant]; q > 0 && m.occupancy[s.tenant] >= q {
-			m.overflow[s.tenant].Push(ref)
+	if s.counted != nil && !s.counted[task] {
+		ts := &r.gate[s.tenant]
+		if ts.occupancy >= ts.quota {
+			ts.overflow.Push(ref)
 			return
 		}
 		s.counted[task] = true
-		m.occupancy[s.tenant]++
+		ts.occupancy++
 	}
 	r.queue.Push(ref)
 	r.eng.Schedule(0, r.requestFn)
@@ -713,18 +741,16 @@ func (r *simRun) enqueue(s *session, task int) {
 // counted, not on completion alone, so a lineage re-execution of an
 // already-completed producer balances its own re-admission exactly.
 func (r *simRun) releaseQuota(s *session, taskID int) {
-	m := r.multi
-	if m == nil || !s.counted[taskID] {
+	if s.counted == nil || !s.counted[taskID] {
 		return
 	}
 	s.counted[taskID] = false
-	m.occupancy[s.tenant]--
-	q := m.quota[s.tenant]
-	for m.overflow[s.tenant].Len() > 0 && (q <= 0 || m.occupancy[s.tenant] < q) {
-		ref, _ := m.overflow[s.tenant].PopFront()
-		os := r.sessions[ref.Session]
-		os.counted[ref.ID] = true
-		m.occupancy[s.tenant]++
+	ts := &r.gate[s.tenant]
+	ts.occupancy--
+	for ts.overflow.Len() > 0 && ts.occupancy < ts.quota {
+		ref, _ := ts.overflow.PopFront()
+		r.sessions[ref.Session].counted[ref.ID] = true
+		ts.occupancy++
 		r.queue.Push(ref)
 		r.eng.Schedule(0, r.requestFn)
 	}
@@ -737,21 +763,14 @@ func (r *simRun) releaseQuota(s *session, taskID int) {
 // policy's decision time has elapsed. The master stays held until that
 // attempt places the task and calls End.
 //
-// In multi-tenant mode the fair-share gate picks the tenant first, then
-// the policy picks within that tenant's refs; single-workflow runs take
-// the policy's pick directly, byte-identical to the pre-tenant runtime.
+// The fair-share gate picks the tenant first, then the policy picks
+// within that tenant's refs.
 func (r *simRun) grantNext() {
 	// The decision is priced at the queue depth the master actually
 	// scanned: the per-rank term of the overhead model sees the ready set
 	// as it was before the pick.
 	qlen := r.queue.Len()
-	var ref sched.TaskRef
-	var ok bool
-	if m := r.multi; m != nil {
-		ref, ok = r.scheduler.NextFor(&r.queue, m.pick(&r.queue))
-	} else {
-		ref, ok = r.scheduler.Next(&r.queue)
-	}
+	ref, ok := r.scheduler.Next(&r.queue, r.gate.pick(&r.queue))
 	if !ok {
 		// Cannot happen: one request per queued ref.
 		panic("runtime: ready queue empty at dispatch")

@@ -17,7 +17,7 @@ import (
 // happens to survive. Dispatched, InPlaceWaits and PeakPending are the
 // coroutine engine's values, which the continuation lifecycle and the
 // compact graph both kept; RingDispatched was pinned when the counter was
-// added.
+// added. Routing RunSim through the fair-share gate kept all four.
 func TestEngineStatsDeterministic(t *testing.T) {
 	run := func() sim.Stats {
 		wf, err := kmeans.Build(kmeans.Config{
@@ -26,11 +26,11 @@ func TestEngineStatsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, st, err := runtime.RunSimStats(wf, runtime.SimConfig{Device: costmodel.GPU})
+		res, err := runtime.RunSim(wf, runtime.SimConfig{Device: costmodel.GPU})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st
+		return res.Stats
 	}
 	a, b := run(), run()
 	if a != b {

@@ -179,19 +179,6 @@ func (q *Queue) PopFront() (TaskRef, bool) {
 	return t, true
 }
 
-// PopBack removes and returns the newest ready task.
-func (q *Queue) PopBack() (TaskRef, bool) {
-	if q.count == 0 {
-		return TaskRef{}, false
-	}
-	i := (q.head + q.count - 1) % len(q.items)
-	t := q.items[i]
-	q.items[i] = TaskRef{}
-	q.count--
-	q.perTenant[t.Tenant]--
-	return t, true
-}
-
 // at returns the physical index of the i-th queued ref (0 = oldest).
 func (q *Queue) at(i int) int { return (q.head + i) % len(q.items) }
 
@@ -255,20 +242,20 @@ func (q *Queue) PopBackTenant(t int32) (TaskRef, bool) {
 func rankGreater(a, b TaskRef) bool { return a.Rank > b.Rank }
 func costLess(a, b TaskRef) bool    { return a.Cost < b.Cost }
 
-// popBest removes and returns the queued ref preferred by better(cand,
-// incumbent), scanning front to back; with a strict comparison the oldest
-// ref wins ties, so equal-priority work keeps generation order. With
-// anyTenant false only refs tagged with the given tenant compete — the
+// popBest removes and returns the tenant's queued ref preferred by
+// better(cand, incumbent), scanning front to back; with a strict
+// comparison the oldest ref wins ties, so equal-priority work keeps
+// generation order. Only refs tagged with the given tenant compete — the
 // fair-share gate picks the tenant, the discipline picks within it.
-func (q *Queue) popBest(tenant int32, anyTenant bool, better func(cand, best TaskRef) bool) (TaskRef, bool) {
-	if !anyTenant && q.TenantLen(tenant) == 0 {
+func (q *Queue) popBest(tenant int32, better func(cand, best TaskRef) bool) (TaskRef, bool) {
+	if q.TenantLen(tenant) == 0 {
 		return TaskRef{}, false
 	}
 	bestIdx := -1
 	var best TaskRef
 	for i := 0; i < q.count; i++ {
 		ref := q.items[q.at(i)]
-		if !anyTenant && ref.Tenant != tenant {
+		if ref.Tenant != tenant {
 			continue
 		}
 		if bestIdx < 0 || better(ref, best) {
@@ -393,13 +380,11 @@ type Scheduler interface {
 	// placement-scan terms for the lookahead policies). The runtime
 	// charges it on the master's service line at every grant.
 	Overhead(p *costmodel.Params, queueLen, numNodes int) float64
-	// Next removes and returns the next task to dispatch.
-	Next(q *Queue) (TaskRef, bool)
-	// NextFor removes and returns the next task to dispatch among those
-	// tagged with the given tenant, applying the same queue discipline as
-	// Next restricted to that tenant's refs. A fair-share dispatch gate
-	// picks the tenant; the policy still picks the task.
-	NextFor(q *Queue, tenant int32) (TaskRef, bool)
+	// Next removes and returns the next task to dispatch among the refs
+	// tagged with the given tenant, applying the policy's queue discipline
+	// to that tenant's refs only. The runtime's fair-share dispatch gate
+	// picks the tenant; the policy picks the task.
+	Next(q *Queue, tenant int32) (TaskRef, bool)
 	// Place picks the target node for the task.
 	Place(t TaskRef, v *View) int
 }
@@ -442,10 +427,8 @@ func (fifoSched) Policy() Policy { return FIFO }
 func (fifoSched) Overhead(p *costmodel.Params, _, _ int) float64 {
 	return p.SchedOverheadScale * p.SchedFIFO
 }
-func (fifoSched) Next(q *Queue) (TaskRef, bool) { return q.PopFront() }
-func (fifoSched) Place(t TaskRef, v *View) int  { return v.leastLoaded() }
-
-func (fifoSched) NextFor(q *Queue, t int32) (TaskRef, bool) { return q.PopFrontTenant(t) }
+func (fifoSched) Next(q *Queue, t int32) (TaskRef, bool) { return q.PopFrontTenant(t) }
+func (fifoSched) Place(t TaskRef, v *View) int           { return v.leastLoaded() }
 
 type lifoSched struct{}
 
@@ -453,10 +436,8 @@ func (lifoSched) Policy() Policy { return LIFO }
 func (lifoSched) Overhead(p *costmodel.Params, _, _ int) float64 {
 	return p.SchedOverheadScale * p.SchedLIFO
 }
-func (lifoSched) Next(q *Queue) (TaskRef, bool) { return q.PopBack() }
-func (lifoSched) Place(t TaskRef, v *View) int  { return v.leastLoaded() }
-
-func (lifoSched) NextFor(q *Queue, t int32) (TaskRef, bool) { return q.PopBackTenant(t) }
+func (lifoSched) Next(q *Queue, t int32) (TaskRef, bool) { return q.PopBackTenant(t) }
+func (lifoSched) Place(t TaskRef, v *View) int           { return v.leastLoaded() }
 
 // residency is the reusable per-node scratch behind every data-aware
 // placement decision: byNode tallies resident input bytes per node, seen
@@ -527,9 +508,7 @@ func (*localitySched) Policy() Policy { return Locality }
 func (*localitySched) Overhead(p *costmodel.Params, _, _ int) float64 {
 	return p.SchedOverheadScale * p.SchedLocality
 }
-func (*localitySched) Next(q *Queue) (TaskRef, bool) { return q.PopFront() }
-
-func (*localitySched) NextFor(q *Queue, t int32) (TaskRef, bool) { return q.PopFrontTenant(t) }
+func (*localitySched) Next(q *Queue, t int32) (TaskRef, bool) { return q.PopFrontTenant(t) }
 
 // Place tallies input bytes per holding node and chooses the node with the
 // best locality score; without any located input (e.g. shared storage,
@@ -578,9 +557,7 @@ func (*randomSched) Policy() Policy { return Random }
 func (*randomSched) Overhead(p *costmodel.Params, _, _ int) float64 {
 	return p.SchedOverheadScale * p.SchedRandom
 }
-func (*randomSched) Next(q *Queue) (TaskRef, bool) { return q.PopFront() }
-
-func (*randomSched) NextFor(q *Queue, t int32) (TaskRef, bool) { return q.PopFrontTenant(t) }
+func (*randomSched) Next(q *Queue, t int32) (TaskRef, bool) { return q.PopFrontTenant(t) }
 
 // Place draws a uniform node; with down nodes it keeps the single draw
 // (so the fault-free stream is untouched) and scans forward to the next
@@ -639,10 +616,7 @@ func (*heftSched) Overhead(p *costmodel.Params, queueLen, numNodes int) float64 
 	return p.SchedOverheadScale *
 		(p.SchedHEFT + p.SchedPerRank*float64(queueLen) + p.SchedPerNode*float64(numNodes))
 }
-func (*heftSched) Next(q *Queue) (TaskRef, bool) { return q.popBest(0, true, rankGreater) }
-func (*heftSched) NextFor(q *Queue, t int32) (TaskRef, bool) {
-	return q.popBest(t, false, rankGreater)
-}
+func (*heftSched) Next(q *Queue, t int32) (TaskRef, bool) { return q.popBest(t, rankGreater) }
 func (h *heftSched) Place(t TaskRef, v *View) int {
 	h.res.tally(t, v)
 	n := eftNode(t, v, &h.res)
@@ -659,11 +633,8 @@ func (blevelSched) Policy() Policy { return BLevel }
 func (blevelSched) Overhead(p *costmodel.Params, queueLen, _ int) float64 {
 	return p.SchedOverheadScale * (p.SchedBLevel + p.SchedPerRank*float64(queueLen))
 }
-func (blevelSched) Next(q *Queue) (TaskRef, bool) { return q.popBest(0, true, rankGreater) }
-func (blevelSched) NextFor(q *Queue, t int32) (TaskRef, bool) {
-	return q.popBest(t, false, rankGreater)
-}
-func (blevelSched) Place(t TaskRef, v *View) int { return v.leastLoaded() }
+func (blevelSched) Next(q *Queue, t int32) (TaskRef, bool) { return q.popBest(t, rankGreater) }
+func (blevelSched) Place(t TaskRef, v *View) int           { return v.leastLoaded() }
 
 // minminSched dispatches the ready task with the smallest estimated
 // execution time and places it at its earliest estimated finish time —
@@ -677,10 +648,7 @@ func (*minminSched) Overhead(p *costmodel.Params, queueLen, numNodes int) float6
 	return p.SchedOverheadScale *
 		(p.SchedMinMin + p.SchedPerRank*float64(queueLen) + p.SchedPerNode*float64(numNodes))
 }
-func (*minminSched) Next(q *Queue) (TaskRef, bool) { return q.popBest(0, true, costLess) }
-func (*minminSched) NextFor(q *Queue, t int32) (TaskRef, bool) {
-	return q.popBest(t, false, costLess)
-}
+func (*minminSched) Next(q *Queue, t int32) (TaskRef, bool) { return q.popBest(t, costLess) }
 func (m *minminSched) Place(t TaskRef, v *View) int {
 	m.res.tally(t, v)
 	n := eftNode(t, v, &m.res)
@@ -712,43 +680,26 @@ func (*workStealSched) Overhead(p *costmodel.Params, _, _ int) float64 {
 	return p.SchedOverheadScale * p.SchedWorkSteal
 }
 
-func (w *workStealSched) Next(q *Queue) (TaskRef, bool)             { return w.next(q, 0, true) }
-func (w *workStealSched) NextFor(q *Queue, t int32) (TaskRef, bool) { return w.next(q, t, false) }
-
-func (w *workStealSched) next(q *Queue, tenant int32, anyTenant bool) (TaskRef, bool) {
+func (w *workStealSched) Next(q *Queue, tenant int32) (TaskRef, bool) {
 	w.bound = false
 	v := w.v
-	var thief int
-	if v == nil || v.NumNodes == 0 {
-		thief = -1
-	} else {
+	thief := -1
+	if v != nil && v.NumNodes > 0 {
 		thief = v.leastLoaded()
 	}
 	if thief < 0 {
-		if anyTenant {
-			return q.PopFront()
-		}
 		return q.PopFrontTenant(tenant)
 	}
-	// Owner-side pop: newest ref homed on the thief.
+	// Owner-side pop: newest of the tenant's refs homed on the thief.
 	for i := q.count - 1; i >= 0; i-- {
 		ref := q.items[q.at(i)]
-		if !anyTenant && ref.Tenant != tenant {
-			continue
-		}
-		if refHome(ref, v) == thief {
+		if ref.Tenant == tenant && refHome(ref, v) == thief {
 			w.pending, w.bound = thief, true
 			return q.removeAt(i), true
 		}
 	}
-	// Steal: the oldest ready ref migrates to the idle node.
-	var ref TaskRef
-	var ok bool
-	if anyTenant {
-		ref, ok = q.PopFront()
-	} else {
-		ref, ok = q.PopFrontTenant(tenant)
-	}
+	// Steal: the tenant's oldest ready ref migrates to the idle node.
+	ref, ok := q.PopFrontTenant(tenant)
 	if ok {
 		w.pending, w.bound = thief, true
 	}

@@ -23,7 +23,7 @@ func TestQueueDisciplines(t *testing.T) {
 		t.Fatalf("len = %d", q.Len())
 	}
 	front, _ := q.PopFront()
-	back, _ := q.PopBack()
+	back, _ := q.PopBackTenant(0)
 	if front.ID != 0 || back.ID != 2 {
 		t.Fatalf("front=%d back=%d", front.ID, back.ID)
 	}
@@ -31,7 +31,7 @@ func TestQueueDisciplines(t *testing.T) {
 	if _, ok := q.PopFront(); ok {
 		t.Fatal("pop from empty queue succeeded")
 	}
-	if _, ok := q.PopBack(); ok {
+	if _, ok := q.PopBackTenant(0); ok {
 		t.Fatal("pop back from empty queue succeeded")
 	}
 }
@@ -44,7 +44,7 @@ func TestFIFOOrder(t *testing.T) {
 	q := &Queue{}
 	q.Push(TaskRef{ID: 7})
 	q.Push(TaskRef{ID: 8})
-	first, _ := s.Next(q)
+	first, _ := s.Next(q, 0)
 	if first.ID != 7 {
 		t.Fatalf("FIFO dispatched %d first", first.ID)
 	}
@@ -63,7 +63,7 @@ func TestLIFOOrder(t *testing.T) {
 	q := &Queue{}
 	q.Push(TaskRef{ID: 1})
 	q.Push(TaskRef{ID: 2})
-	first, _ := s.Next(q)
+	first, _ := s.Next(q, 0)
 	if first.ID != 2 {
 		t.Fatalf("LIFO dispatched %d first", first.ID)
 	}
@@ -391,7 +391,8 @@ func TestPlacementSkipsDownNodes(t *testing.T) {
 }
 
 // TestQueueWraparound drives the ring buffer through repeated grow /
-// wrap cycles under mixed Push, PopFront and PopBack, checking the queue
+// wrap cycles under mixed Push, PopFront and PopBackTenant (always for the
+// newest ref's tenant, so it pops the newest ref), checking the queue
 // against a reference slice after every operation.
 func TestQueueWraparound(t *testing.T) {
 	q := &Queue{}
@@ -419,12 +420,12 @@ func TestQueueWraparound(t *testing.T) {
 	}
 	popBack := func(n int) {
 		for i := 0; i < n; i++ {
-			got, ok := q.PopBack()
+			got, ok := q.PopBackTenant(ref[len(ref)-1].Tenant)
 			if !ok {
-				t.Fatalf("PopBack failed with %d refs modeled", len(ref))
+				t.Fatalf("PopBackTenant failed with %d refs modeled", len(ref))
 			}
 			if got.ID != ref[len(ref)-1].ID {
-				t.Fatalf("PopBack = %d, want %d", got.ID, ref[len(ref)-1].ID)
+				t.Fatalf("PopBackTenant = %d, want %d", got.ID, ref[len(ref)-1].ID)
 			}
 			ref = ref[:len(ref)-1]
 		}
@@ -516,26 +517,52 @@ func TestQueueTenantPops(t *testing.T) {
 	}
 }
 
-// TestSchedulerNextFor pins the per-tenant discipline each policy applies:
-// FIFO/Locality/Random take the tenant's oldest ref, LIFO its newest.
-func TestSchedulerNextFor(t *testing.T) {
+// TestSchedulerNext pins the per-tenant discipline each policy applies
+// through the one Next the fair-share gate calls: FIFO, Locality, Random
+// and unbound work stealing take the tenant's oldest ref, LIFO its
+// newest, HEFT and b-level its highest rank, min-min its lowest cost.
+// Tenant 0's refs outrank and undercut tenant 1's, so a discipline that
+// looked past the tenant would pick one of them.
+func TestSchedulerNext(t *testing.T) {
+	rank := []float64{9, 2, 8, 7, 6, 3}
+	cost := []float64{0, 1, 0, 6, 0, 4}
 	fill := func() *Queue {
 		q := &Queue{}
 		for i := 0; i < 6; i++ {
-			q.Push(TaskRef{ID: i, Tenant: int32(i % 2)})
+			q.Push(TaskRef{ID: i, Tenant: int32(i % 2), Rank: rank[i], Cost: cost[i]})
 		}
 		return q
 	}
-	for _, pol := range []Policy{FIFO, Locality, Random} {
+	want := map[Policy]int{
+		FIFO: 1, Locality: 1, Random: 1, WorkSteal: 1,
+		LIFO: 5, HEFT: 3, BLevel: 3, MinMin: 1,
+	}
+	for _, pol := range Policies() {
 		s, _ := New(pol, 1)
-		got, ok := s.NextFor(fill(), 1)
-		if !ok || got.ID != 1 {
-			t.Errorf("%v NextFor(1) = (%d,%v), want oldest 1", pol, got.ID, ok)
+		q := fill()
+		if got, ok := s.Next(q, 1); !ok || got.ID != want[pol] {
+			t.Errorf("%v Next(1) = (%d,%v), want %d", pol, got.ID, ok, want[pol])
+		}
+		if q.TenantLen(0) != 3 || q.TenantLen(1) != 2 {
+			t.Errorf("%v: tenant lens = %d,%d after one pop, want 3,2", pol, q.TenantLen(0), q.TenantLen(1))
+		}
+		if _, ok := s.Next(q, 3); ok {
+			t.Errorf("%v: Next for an absent tenant succeeded", pol)
 		}
 	}
-	lifo, _ := New(LIFO, 0)
-	if got, ok := lifo.NextFor(fill(), 1); !ok || got.ID != 5 {
-		t.Errorf("LIFO NextFor(1) = (%d,%v), want newest 5", got.ID, ok)
+	// Bound work stealing: the thief (node 0) pops the newest of the
+	// tenant's refs homed on it, skipping a newer one of another tenant.
+	s, _ := New(WorkSteal, 0)
+	s.(ViewBinder).BindView(&View{
+		NumNodes: 2, Load: []int{0, 1},
+		Locate: func(id int32) (int, bool) { return int(id), true },
+	})
+	q := &Queue{}
+	q.Push(TaskRef{ID: 0, Tenant: 1, Inputs: []DataLoc{{ID: 0, Bytes: 1}}})
+	q.Push(TaskRef{ID: 1, Tenant: 1, Inputs: []DataLoc{{ID: 1, Bytes: 1}}})
+	q.Push(TaskRef{ID: 2, Tenant: 0, Inputs: []DataLoc{{ID: 0, Bytes: 1}}})
+	if got, ok := s.Next(q, 1); !ok || got.ID != 0 {
+		t.Errorf("bound WorkSteal Next(1) = (%d,%v), want 0", got.ID, ok)
 	}
 }
 
@@ -557,7 +584,7 @@ func TestLookaheadDisciplines(t *testing.T) {
 		q := fill()
 		want := []int{1, 2, 0, 3} // rank desc, oldest wins the 9-9 tie
 		for _, w := range want {
-			got, ok := s.Next(q)
+			got, ok := s.Next(q, 0)
 			if !ok || got.ID != w {
 				t.Fatalf("%v popped %d, want %d", pol, got.ID, w)
 			}
@@ -567,7 +594,7 @@ func TestLookaheadDisciplines(t *testing.T) {
 	q := fill()
 	want := []int{2, 3, 1, 0} // cost asc, oldest wins the 1-1 tie
 	for _, w := range want {
-		got, ok := mm.Next(q)
+		got, ok := mm.Next(q, 0)
 		if !ok || got.ID != w {
 			t.Fatalf("min-min popped %d, want %d", got.ID, w)
 		}
@@ -578,11 +605,11 @@ func TestLookaheadDisciplines(t *testing.T) {
 	q.Push(TaskRef{ID: 1, Tenant: 1, Rank: 2, Cost: 9})
 	q.Push(TaskRef{ID: 2, Tenant: 1, Rank: 7, Cost: 4})
 	h, _ := New(HEFT, 0)
-	if got, ok := h.NextFor(q, 1); !ok || got.ID != 2 {
-		t.Fatalf("HEFT NextFor(1) = %d, want 2", got.ID)
+	if got, ok := h.Next(q, 1); !ok || got.ID != 2 {
+		t.Fatalf("HEFT Next(1) = %d, want 2", got.ID)
 	}
-	if _, ok := h.NextFor(q, 3); ok {
-		t.Fatal("NextFor for absent tenant succeeded")
+	if _, ok := h.Next(q, 3); ok {
+		t.Fatal("Next for absent tenant succeeded")
 	}
 }
 
@@ -659,7 +686,7 @@ func TestWorkStealing(t *testing.T) {
 	q.Push(TaskRef{ID: 3, Inputs: []DataLoc{{ID: 11, Bytes: 5}}}) // home 0
 
 	// Thief is node 0 (load 0): pops its newest homed ref — ID 3, not 1.
-	got, ok := s.Next(q)
+	got, ok := s.Next(q, 0)
 	if !ok || got.ID != 3 {
 		t.Fatalf("Next = %d, want newest owned ref 3", got.ID)
 	}
@@ -667,7 +694,7 @@ func TestWorkStealing(t *testing.T) {
 		t.Fatalf("Place = %d, want thief node 0", n)
 	}
 	// Then its older homed ref.
-	got, _ = s.Next(q)
+	got, _ = s.Next(q, 0)
 	if got.ID != 1 {
 		t.Fatalf("Next = %d, want remaining owned ref 1", got.ID)
 	}
@@ -676,7 +703,7 @@ func TestWorkStealing(t *testing.T) {
 	}
 	// Deque empty: node 0 steals the oldest ready ref even though it is
 	// homed on node 1.
-	got, _ = s.Next(q)
+	got, _ = s.Next(q, 0)
 	if got.ID != 2 {
 		t.Fatalf("Next = %d, want stolen ref 2", got.ID)
 	}
@@ -689,7 +716,7 @@ func TestWorkStealing(t *testing.T) {
 	q2 := &Queue{}
 	q2.Push(TaskRef{ID: 7})
 	q2.Push(TaskRef{ID: 8})
-	if got, _ := s2.Next(q2); got.ID != 7 {
+	if got, _ := s2.Next(q2, 0); got.ID != 7 {
 		t.Fatalf("unbound Next = %d, want FIFO 7", got.ID)
 	}
 	if n := s2.Place(TaskRef{}, view(2, 0)); n != 1 {
@@ -713,7 +740,7 @@ func TestTaskRefCarriesEnqueueInstant(t *testing.T) {
 	}
 	lifo, _ := New(LIFO, 0)
 	for want := 3; want >= 0; want-- {
-		ref, ok := lifo.Next(q)
+		ref, ok := lifo.Next(q, 0)
 		if !ok || ref.ID != want || ref.Enqueued != float64(want)*1.5 {
 			t.Fatalf("LIFO popped %+v, want ID %d with Enqueued %v", ref, want, float64(want)*1.5)
 		}

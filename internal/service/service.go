@@ -18,6 +18,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"wfsim/internal/faults"
@@ -115,8 +116,8 @@ func (c Config) validate() error {
 					i, len(t.Interarrival), t.Count)
 			}
 			for k, g := range t.Interarrival[:t.Count] {
-				if g < 0 {
-					return fmt.Errorf("service: tenant %d interarrival[%d] = %v, must be non-negative", i, k, g)
+				if !(g >= 0) || math.IsInf(g, 1) {
+					return fmt.Errorf("service: tenant %d interarrival[%d] = %v, must be finite and non-negative", i, k, g)
 				}
 			}
 		} else if t.Rate <= 0 {

@@ -7,7 +7,8 @@
 # -label names the snapshot (e.g. "pre-refactor", "after-pooling") and is
 # required; -count is the go test -count repetition (default 5; results are
 # averaged); -bench overrides the benchmark selection regexp. Flags go
-# straight through to benchsnap/go test, so snapshots are never hand-edited.
+# straight through to benchgate's record mode/go test, so snapshots are
+# never hand-edited.
 set -eu
 
 label=
@@ -30,4 +31,4 @@ done
 [ -n "$label" ] || usage
 
 go test -run '^$' -bench "$bench" -benchmem -count "$count" . |
-    go run scripts/benchsnap.go -label "$label"
+    go run scripts/benchgate.go -record "$label"

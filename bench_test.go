@@ -390,8 +390,9 @@ func BenchmarkSimWorkflowLarge(b *testing.B) {
 // retained-records Collector alone would hold ~7M records, so the run
 // streams metrics into an Aggregates sink (memory stays O(aggregate
 // state), not O(tasks)) and recycles substrate storage through an arena
-// across iterations. Pending events peak at 4,096 on this run, so the
-// engine's 4-ary heap stays seven levels deep even at this scale.
+// across iterations. Pending events peak at 4,096 on this run, but that
+// peak is the zero-delay ring holding an iteration's dispatch requests:
+// the 4-ary heap itself never holds more than a few dozen entries.
 //
 // The DAG build is ID-first into the compact struct-of-arrays graph
 // (DESIGN.md §9, §12) and every task lifecycle is an engine-driven
@@ -400,14 +401,20 @@ func BenchmarkSimWorkflowLarge(b *testing.B) {
 // 369 MB/op, 9.4 K allocs/op and about 4.8 s/op with a Task slab (time
 // within noise), and about 9.4 s/op, 386 MB/op and 19.9 K allocs/op with
 // coroutine processes (2-vCPU Xeon VM, Go 1.24, -cpu 2, five alternating
-// runs each). The engine dispatches 37,324,398 events on this run,
-// 13,760,306 of them from the zero-delay ring, and 1,013,108 waits
-// advance the clock in place.
+// runs each). The engine dispatches 28,017,416 events on this run
+// (27.35 per task, reported as events/task), 13,760,306 of them from the
+// zero-delay ring, and 1,017,500 waits advance the clock in place. The
+// benchmark fails if the makespan or the dispatched count moves, so CI's
+// perf gate also checks the run's fingerprint.
 func BenchmarkSimWorkflowHuge(b *testing.B) {
 	b.ReportAllocs()
 	var arena wfsim.Arena
 	agg := metrics.NewAggregates()
-	const wantTasks = 4096*250 + 250
+	const (
+		wantTasks      = 4096*250 + 250
+		wantMakespan   = 5032.3536777217241
+		wantDispatched = 28017416
+	)
 	for i := 0; i < b.N; i++ {
 		wf, err := wfsim.BuildKMeans(wfsim.KMeansConfig{
 			Dataset: wfsim.Datasets.KMeansSmall, Grid: 4096, Clusters: 10,
@@ -433,8 +440,13 @@ func BenchmarkSimWorkflowHuge(b *testing.B) {
 		if res.Collector != nil {
 			b.Fatal("streaming run retained a collector")
 		}
+		if res.Makespan != wantMakespan || res.Stats.Dispatched != wantDispatched {
+			b.Fatalf("makespan %.17g and %d events dispatched, want %.17g and %d",
+				res.Makespan, res.Stats.Dispatched, wantMakespan, uint64(wantDispatched))
+		}
 	}
 	b.ReportMetric(wantTasks, "tasks")
+	b.ReportMetric(float64(wantDispatched)/wantTasks, "events/task")
 }
 
 // BenchmarkDAGBuild isolates workflow construction — task generation,

@@ -37,7 +37,7 @@ func NewIn(a *Arena) *Engine {
 			n.eng = e
 			n.index = -1
 			n.fn = nil
-			n.owned = false
+			n.role = rolePlain
 			n.canceled = false
 			e.free = append(e.free, n)
 		}

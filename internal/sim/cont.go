@@ -26,7 +26,7 @@ func (e *Engine) Bind(c *Cont, step func()) {
 		// the run dies.
 		panic(fmt.Sprintf("sim: Bind of a continuation pending at t=%v", c.ev.at)) //wfsimlint:allow hotalloc
 	}
-	c.ev = event{fn: step, eng: e, index: -1, owned: true}
+	c.ev = event{fn: step, eng: e, index: -1, role: roleCont}
 }
 
 // Start schedules the step to run after delay seconds. The resume takes its

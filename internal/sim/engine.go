@@ -8,8 +8,8 @@ import (
 // event is the engine-internal scheduled-callback node. Nodes are pooled:
 // when a pool-owned node fires it is recycled for the next Schedule, so
 // steady-state event traffic allocates nothing. Nodes owned by a Cont or a
-// Link (owned == true) are never returned to the pool — their owner reuses
-// them directly across schedule cycles.
+// Link (role != rolePlain) are never returned to the pool — their owner
+// reuses them directly across schedule cycles.
 type event struct {
 	at  float64
 	seq uint64 // tie-breaker: FIFO among events at the same instant
@@ -19,9 +19,21 @@ type event struct {
 	eng      *Engine
 	index    int    // heap index, -1 while off-heap
 	gen      uint64 // bumped each time a pooled node is recycled
-	owned    bool   // Cont-/Link-owned: reused by the owner, never pooled
+	role     role   // fixed when the node is created; counted at dispatch
 	canceled bool
 }
+
+// role says what an event node is for. Every node but a pooled Schedule
+// node is owned: its owner reuses it and it never returns to the pool.
+type role uint8
+
+const (
+	rolePlain    role = iota // pool node from Engine.Schedule
+	roleCont                 // a continuation's resume (Cont)
+	roleLinkDone             // a Link's completion node
+	roleJoin                 // a flow's startup-latency join on a busy Link
+	nRoles
+)
 
 // Event is a handle to a scheduled callback, returned by Engine.Schedule.
 // It is a small value (copyable) carrying a generation stamp, so a handle
@@ -256,7 +268,8 @@ type Engine struct {
 	// the schedule drains, nothing can ever grant them (a deadlock).
 	parked int
 
-	stats Stats
+	stats  Stats
+	byRole [nRoles]uint64 // dispatched events by role; they sum to Dispatched
 
 	ran bool
 }
@@ -269,6 +282,13 @@ type Stats struct {
 	// RingDispatched counts the dispatched events served by the
 	// zero-delay ring rather than the heap.
 	RingDispatched uint64
+	// Resumes, LinkCompletions and Joins split Dispatched by the role of
+	// the event: continuation resumes, Link completions and latency joins
+	// of transfers that start on a busy link. Plain Schedule events are
+	// Dispatched minus the three.
+	Resumes         uint64
+	LinkCompletions uint64
+	Joins           uint64
 	// InPlaceWaits counts waits that advanced the clock without scheduling
 	// an event (see Cont.Wait).
 	InPlaceWaits uint64
@@ -277,7 +297,16 @@ type Stats struct {
 }
 
 // Stats returns the engine's activity counters so far.
-func (e *Engine) Stats() Stats { return e.stats }
+func (e *Engine) Stats() Stats {
+	s := e.stats
+	s.Resumes = e.byRole[roleCont]
+	s.LinkCompletions = e.byRole[roleLinkDone]
+	s.Joins = e.byRole[roleJoin]
+	for _, k := range e.byRole {
+		s.Dispatched += k
+	}
+	return s
+}
 
 // New returns an empty engine with the clock at 0.
 func New() *Engine { return &Engine{} }
@@ -385,10 +414,18 @@ func (e *Engine) putNode(n *event) {
 // the deterministic event order.
 func (e *Engine) schedNode(n *event, delay float64) {
 	e.checkDelay(delay)
+	e.schedAt(n, e.now+delay)
+}
+
+// schedAt is schedNode at the absolute instant at, which the caller has
+// derived from checked, non-negative delays, so it never precedes the
+// clock. A Link uses it to schedule a completion beyond a join that has
+// not happened yet.
+func (e *Engine) schedAt(n *event, at float64) {
 	if n.index != -1 {
 		panic(fmt.Sprintf("sim: event already scheduled at t=%v", n.at))
 	}
-	n.at = e.now + delay
+	n.at = at
 	e.seq++
 	n.seq = e.seq
 	n.canceled = false
@@ -482,9 +519,9 @@ func (e *Engine) dispatch() {
 			return
 		}
 		e.now = n.at
-		e.stats.Dispatched++
+		e.byRole[n.role]++
 		fn := n.fn
-		if !n.owned {
+		if n.role == rolePlain {
 			e.putNode(n)
 		}
 		fn()

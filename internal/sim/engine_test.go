@@ -155,7 +155,8 @@ func TestNestedGo(t *testing.T) {
 // a start and every queued resume count as dispatched events, while a wait
 // that no pending event can overtake advances the clock in place. The two
 // starts fire at the current instant, so the zero-delay ring serves them;
-// the resumes at 2 and 3 come off the heap.
+// the resumes at 2 and 3 come off the heap. All four are continuation
+// resumes.
 func TestStatsCounters(t *testing.T) {
 	e := New()
 	spawn(e, 0, wait(2))
@@ -163,7 +164,7 @@ func TestStatsCounters(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := Stats{Dispatched: 4, RingDispatched: 2, InPlaceWaits: 1, PeakPending: 2}
+	want := Stats{Dispatched: 4, RingDispatched: 2, Resumes: 4, InPlaceWaits: 1, PeakPending: 2}
 	if got := e.Stats(); got != want {
 		t.Fatalf("Stats() = %+v, want %+v", got, want)
 	}

@@ -23,6 +23,13 @@ const completionEpsilon = 1e-6
 // the flow joins the shared pipe (seek/RPC/DMA-setup time); it counts as
 // link occupancy for busy-time accounting.
 //
+// A flow that starts on an idle link joins the pipe virtually: no event
+// marks the end of its latency. The flow enters the active set at once with
+// lastUpdate set to its join instant, and the completion is scheduled past
+// it. The latency is the same for every transfer, so no later flow can join
+// before that instant and change the rate. Only a flow that starts while
+// the link is busy schedules a join event (its flow.join node).
+//
 // The link owns a single completion event node, moved in place with
 // heap.Fix on every membership change (no cancel-and-repush, no dead heap
 // entries), and a free list of flow structs, so steady-state transfer
@@ -36,9 +43,9 @@ type Link struct {
 	active    []*flow // insertion order: deterministic completion handling
 	freeFlows []*flow
 
-	lastUpdate float64
-	next       event // owned completion node, on-heap while target != nil
-	target     *flow // earliest-finishing active flow; the completion drains it
+	lastUpdate float64 // instant of the last advance, or of a virtual join still to come
+	next       event   // owned completion node, on-heap while target != nil
+	target     *flow   // earliest-finishing active flow; the completion drains it
 
 	bytesMoved float64 // total bytes fully transferred
 	transfers  uint64
@@ -73,7 +80,7 @@ func NewLink(e *Engine, name string, bandwidth, latency float64) *Link {
 	l.freeFlows = make([]*flow, 0, 32)
 	l.next.eng = e
 	l.next.index = -1
-	l.next.owned = true
+	l.next.role = roleLinkDone
 	l.next.fn = l.complete
 	return l
 }
@@ -152,7 +159,7 @@ func (l *Link) getFlow(bytes float64, c *Cont) *flow {
 	f := &flow{remaining: bytes, total: bytes, cont: c, link: l}
 	f.join.eng = l.eng
 	f.join.index = -1
-	f.join.owned = true
+	f.join.role = roleJoin
 	f.join.fn = f.joinLatent
 	return f
 }
@@ -215,11 +222,16 @@ func (l *Link) complete() {
 	}
 }
 
+// add makes f an active flow occupying the link.
+func (l *Link) add(f *flow) {
+	l.occupy()
+	l.active = append(l.active, f)
+}
+
 // joinNow adds a flow to the shared pipe at the current instant.
 func (l *Link) joinNow(f *flow) {
 	l.advance()
-	l.occupy()
-	l.active = append(l.active, f)
+	l.add(f)
 	// Incremental min tracking: the new flow preempts the current target
 	// only if it finishes strictly earlier; either way the shared rate
 	// changed, so the completion event moves.
@@ -252,21 +264,40 @@ func (f *flow) joinLatent() {
 // Concurrent transfers share the bandwidth equally. A zero-byte transfer
 // pays only the latency.
 //
-// Transfer reports true when the transfer completed in place (a zero-byte
-// transfer whose latency elapsed with no other event due first, or one on a
-// latency-free link); otherwise it reports false and c's step runs again
-// at the instant the transfer completes, scheduled from the completion
-// event at delay 0.
+// Transfer reports true when the transfer completed in place: a zero-byte
+// transfer on a latency-free link, or a zero-byte transfer whose latency
+// elapsed with no other event due first. Otherwise it reports false and c's
+// step runs again at the instant the transfer completes, scheduled from the
+// completion event at delay 0.
 //
-// On a link with startup latency the flow's join is a scheduled inline
-// event rather than a wake-up of c, so the continuation is resumed exactly
-// once per transfer. The join event takes the schedule position a latency
-// Wait issued here would take, so ordering matches a wait-then-join.
+// A transfer that starts on a link with startup latency costs the
+// completion event alone when the link is idle (no active flow, no transfer
+// inside its latency): the flow joins virtually at now+latency, and the
+// completion is scheduled at (now+latency) + bytes/bandwidth, the instant a
+// join event would have computed. Its sequence number is taken here, not
+// at the join, so it can order differently only against an event due at
+// exactly that instant and scheduled inside the latency window. On a busy
+// link the join is a scheduled inline event rather than a wake-up of c, so
+// the continuation is resumed exactly once per transfer; the join event
+// takes the schedule position a latency Wait issued here would take, so
+// ordering matches a wait-then-join.
 func (l *Link) Transfer(c *Cont, bytes float64) bool {
 	if bytes < 0 || math.IsNaN(bytes) {
 		panic(fmt.Sprintf("sim: transfer of %v bytes on link %q", bytes, l.name))
 	}
 	if l.latency > 0 {
+		if bytes > 0 && l.occ == 0 {
+			// Occupancy runs unbroken from now: the busy-time split a join
+			// event would book (vacate, then occupy, at the join instant)
+			// changes the integral by float rounding alone, so none is
+			// booked.
+			f := l.getFlow(bytes, c)
+			l.add(f)
+			l.lastUpdate = l.eng.now + l.latency
+			l.target = f
+			l.eng.schedAt(&l.next, l.lastUpdate+bytes/l.bw)
+			return false
+		}
 		l.occupy()
 		if bytes == 0 && l.eng.waitInPlace(l.latency) {
 			l.vacate()

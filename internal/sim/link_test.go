@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -188,5 +190,91 @@ func TestLinkConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLinkTransferEvents pins when a lone transfer completes and what it
+// costs in events. On an idle latency link the flow joins virtually, so the
+// completion is the transfer's only event, due at exactly (t0+λ)+b/bw. A
+// zero-byte transfer pays its latency in place, and a latency-free link
+// never had a join to skip.
+func TestLinkTransferEvents(t *testing.T) {
+	const t0, bw = 0.1, 100.0
+	for _, tc := range []struct {
+		name       string
+		lat, bytes float64
+		want       Stats
+	}{
+		{"idle latency link", 0.3, 70,
+			Stats{Dispatched: 3, RingDispatched: 1, Resumes: 2, LinkCompletions: 1, PeakPending: 1}},
+		{"zero bytes", 0.3, 0,
+			Stats{Dispatched: 1, Resumes: 1, InPlaceWaits: 1, PeakPending: 1}},
+		{"latency-free", 0, 70,
+			Stats{Dispatched: 3, RingDispatched: 1, Resumes: 2, LinkCompletions: 1, PeakPending: 1}},
+		{"latency-free zero bytes", 0, 0,
+			Stats{Dispatched: 1, Resumes: 1, PeakPending: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New()
+			l := NewLink(e, "gpfs", bw, tc.lat)
+			done := -1.0
+			spawn(e, t0, transfer(l, tc.bytes), do(func() { done = e.Now() }))
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if want := (t0 + tc.lat) + tc.bytes/bw; done != want {
+				t.Errorf("completed at %v, want exactly %v", done, want)
+			}
+			if got := e.Stats(); got != tc.want {
+				t.Errorf("Stats() = %+v, want %+v", got, tc.want)
+			}
+			if l.Transfers() != 1 || l.Active() != 0 {
+				t.Errorf("transfers = %d, active = %d; want 1, 0", l.Transfers(), l.Active())
+			}
+		})
+	}
+}
+
+// TestLinkDeferredJoinOverlap starts transfer A (100 B) on an idle 100 B/s
+// link with 0.25 s latency at t=0, so A joins virtually at 0.25, and issues
+// transfer B against it. B finds the link busy and schedules its join event.
+// The instants are hand-computed from the fluid model and exact in float64.
+func TestLinkDeferredJoinOverlap(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		at, size float64 // B's issue instant and size
+		want     []string
+	}{
+		// A streams alone over [0.25, 0.375] (12.5 B), then both share:
+		// B's 50 B take 1 s; A's last 37.5 B run alone.
+		{"inside the latency window", 0.125, 50, []string{"B@1.375", "A@1.75"}},
+		// A streams alone over [0.25, 0.75] (50 B); B's 25 B take 0.5 s
+		// at half rate; A's last 25 B run alone.
+		{"while streaming", 0.5, 25, []string{"B@1.25", "A@1.5"}},
+		// Both join at 0.25 and drain together; resumes follow issue order.
+		{"same instant", 0, 100, []string{"A@2.25", "B@2.25"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New()
+			l := NewLink(e, "gpfs", 100, 0.25)
+			var got []string
+			record := func(name string) op {
+				return do(func() { got = append(got, fmt.Sprintf("%s@%v", name, e.Now())) })
+			}
+			spawn(e, 0, transfer(l, 100), record("A"))
+			spawn(e, tc.at, transfer(l, tc.size), record("B"))
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("completions = %v, want %v", got, tc.want)
+			}
+			if st := e.Stats(); st.Joins != 1 {
+				t.Fatalf("%d join events, want 1 (B's; A's join is virtual)", st.Joins)
+			}
+			if !almostEqual(l.BusyTime(), e.Now(), 1e-12) {
+				t.Fatalf("busy time = %v, want %v (occupied throughout)", l.BusyTime(), e.Now())
+			}
+		})
 	}
 }

@@ -31,7 +31,7 @@ const (
 	rolePlain    role = iota // pool node from Engine.Schedule
 	roleCont                 // a continuation's resume (Cont)
 	roleLinkDone             // a Link's completion node
-	roleJoin                 // a flow's startup-latency join on a busy Link
+	roleJoin                 // a flow's startup-latency join (busy Link, or zero bytes)
 	nRoles
 )
 
@@ -283,9 +283,10 @@ type Stats struct {
 	// zero-delay ring rather than the heap.
 	RingDispatched uint64
 	// Resumes, LinkCompletions and Joins split Dispatched by the role of
-	// the event: continuation resumes, Link completions and latency joins
-	// of transfers that start on a busy link. Plain Schedule events are
-	// Dispatched minus the three.
+	// the event: continuation resumes, Link completions and latency joins.
+	// A join is dispatched for every latency transfer except one with
+	// bytes > 0 on an idle link, and except a zero-byte one that waits in
+	// place. Plain Schedule events are Dispatched minus the three.
 	Resumes         uint64
 	LinkCompletions uint64
 	Joins           uint64
@@ -408,10 +409,11 @@ func (e *Engine) putNode(n *event) {
 	e.free = append(e.free, n)
 }
 
-// schedNode pushes an off-heap node with a fresh sequence number. It is the
-// single entry point for owned nodes (Cont resume events, Link completion
-// events), so its seq assignment order — not node identity — is what fixes
-// the deterministic event order.
+// schedNode pushes an off-heap node with a fresh sequence number. It and
+// schedAt, which it calls, are the entry points for owned nodes (Cont
+// resume events and latency joins go through schedNode, a Link completion
+// past a virtual join through schedAt), so seq assignment order — not node
+// identity — is what fixes the deterministic event order.
 func (e *Engine) schedNode(n *event, delay float64) {
 	e.checkDelay(delay)
 	e.schedAt(n, e.now+delay)

@@ -27,8 +27,10 @@ const completionEpsilon = 1e-6
 // marks the end of its latency. The flow enters the active set at once with
 // lastUpdate set to its join instant, and the completion is scheduled past
 // it. The latency is the same for every transfer, so no later flow can join
-// before that instant and change the rate. Only a flow that starts while
-// the link is busy schedules a join event (its flow.join node).
+// before that instant and change the rate. Only a flow with bytes > 0 on an
+// idle link skips the join event (its flow.join node): a flow that starts
+// while the link is busy schedules one, and so does a zero-byte transfer
+// whose latency cannot elapse in place.
 //
 // The link owns a single completion event node, moved in place with
 // heap.Fix on every membership change (no cancel-and-repush, no dead heap

@@ -196,27 +196,34 @@ func TestLinkConservation(t *testing.T) {
 // TestLinkTransferEvents pins when a lone transfer completes and what it
 // costs in events. On an idle latency link the flow joins virtually, so the
 // completion is the transfer's only event, due at exactly (t0+λ)+b/bw. A
-// zero-byte transfer pays its latency in place, and a latency-free link
-// never had a join to skip.
+// zero-byte transfer pays its latency in place, or, with a plain event due
+// inside its latency, through a join event on the idle link; a
+// latency-free link never had a join to skip.
 func TestLinkTransferEvents(t *testing.T) {
 	const t0, bw = 0.1, 100.0
 	for _, tc := range []struct {
 		name       string
 		lat, bytes float64
+		pending    float64 // instant of a plain event, if > 0
 		want       Stats
 	}{
-		{"idle latency link", 0.3, 70,
+		{"idle latency link", 0.3, 70, 0,
 			Stats{Dispatched: 3, RingDispatched: 1, Resumes: 2, LinkCompletions: 1, PeakPending: 1}},
-		{"zero bytes", 0.3, 0,
+		{"zero bytes", 0.3, 0, 0,
 			Stats{Dispatched: 1, Resumes: 1, InPlaceWaits: 1, PeakPending: 1}},
-		{"latency-free", 0, 70,
+		{"zero bytes behind a pending event", 0.3, 0, 0.2,
+			Stats{Dispatched: 3, Resumes: 1, Joins: 1, PeakPending: 2}},
+		{"latency-free", 0, 70, 0,
 			Stats{Dispatched: 3, RingDispatched: 1, Resumes: 2, LinkCompletions: 1, PeakPending: 1}},
-		{"latency-free zero bytes", 0, 0,
+		{"latency-free zero bytes", 0, 0, 0,
 			Stats{Dispatched: 1, Resumes: 1, PeakPending: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := New()
 			l := NewLink(e, "gpfs", bw, tc.lat)
+			if tc.pending > 0 {
+				e.Schedule(tc.pending, func() {})
+			}
 			done := -1.0
 			spawn(e, t0, transfer(l, tc.bytes), do(func() { done = e.Now() }))
 			if err := e.Run(); err != nil {

@@ -1,14 +1,11 @@
 package runtime
 
-import (
-	"wfsim/internal/sched"
-	"wfsim/internal/sim"
-)
+import "wfsim/internal/sim"
 
 // Arena recycles a simulated run's substrate allocations across trials:
 // the engine's event-node slabs, heap and ring storage (sim.Arena), the
 // pooled task lifecycles (attempts), the per-task dependency counters, and
-// the ready-queue input-location slab.
+// the pool of ready tasks' input lists.
 // A sweep worker that owns an Arena pays these allocations on its first
 // trial only.
 //
@@ -21,7 +18,7 @@ type Arena struct {
 	nodes     sim.Arena
 	attempts  []*attempt
 	remaining []int32
-	inputs    []sched.DataLoc
+	inputs    inputPool
 	load      []int
 }
 

@@ -221,6 +221,7 @@ func RunSim(wf *Workflow, cfg SimConfig) (*SimResult, error) {
 		// the caller's next trial.
 		run.eng.Release(&a.nodes)
 		a.keepAttempts(run.freeAttempts)
+		a.inputs = run.inputs
 	}
 	return res, nil
 }
@@ -371,7 +372,7 @@ type simRun struct {
 	requestFn func()     // bound once: Master.Request
 	load      []int      // outstanding tasks per node
 	slots     [][]uint64 // per-node free-core bitmap (bit set = free)
-	inputSlab []sched.DataLoc
+	inputs    inputPool  // ready tasks' input lists
 
 	// freeAttempts pools finished task lifecycles for the next grant; it
 	// grows to the run's peak number of tasks in flight.
@@ -424,7 +425,7 @@ func newSimRun(cfg SimConfig, numDataHint int, tenants []TenantSpec) (*simRun, e
 	}
 	if a := cfg.Arena; a != nil {
 		r.load = a.grabLoad(cfg.Cluster.Nodes)
-		r.inputSlab = a.inputs[:0]
+		r.inputs, a.inputs = a.inputs, inputPool{}
 		r.freeAttempts = a.adoptAttempts(r)
 	} else {
 		r.load = make([]int, cfg.Cluster.Nodes)
@@ -529,20 +530,10 @@ func (r *simRun) addSession(wf *Workflow, tenant int32, ranks, costs []float64, 
 	}
 
 	// Seed the ready queue with dependency-free tasks in generation order.
-	// Every task is enqueued once in a fault-free run, so its input lists
-	// fit one slab sized to the workflow's reads.
 	g := wf.Graph
-	reads := 0
 	for id := range g.Len() {
 		s.remaining[id] = int32(len(g.Deps(id)))
-		_, dirs := g.Params(id)
-		for _, d := range dirs {
-			if d.Reads() {
-				reads++
-			}
-		}
 	}
-	r.reserveInputs(reads)
 	for id := range g.Len() {
 		if s.remaining[id] == 0 {
 			r.enqueue(s, id)
@@ -644,35 +635,51 @@ func (r *simRun) grabRemaining(n int) []int32 {
 	return make([]int32, n)
 }
 
-// borrowInputs returns a zero-length DataLoc slice with capacity n, carved
-// from a slab so each ready task's input list is not an individual
-// allocation. Slices are never returned: the total input-list footprint of
-// a run is a few entries per task, so the slabs cost tens of kilobytes
-// where per-task allocations cost one heap object each. addSession
-// reserves a slab for the session's reads up front; re-enqueues under
-// fault injection overflow it into geometrically growing slabs. The
-// biggest slab is what an arena retains for the next trial.
-func (r *simRun) borrowInputs(n int) []sched.DataLoc {
-	if cap(r.inputSlab)-len(r.inputSlab) < n {
-		r.reserveInputs(max(2*cap(r.inputSlab), 1024, n))
+// inputPool hands out ready tasks' input lists. A list is carved from a
+// slab, so it is not an individual allocation, and comes back when the
+// attempt that read it finishes (attempt.finish), filed by length for the
+// next task with as many reads. The pool's storage therefore tracks the
+// run's peak number of live lists — ready plus in flight — rather than its
+// total reads, and an arena carries the whole pool, returned lists
+// included, into the next trial.
+type inputPool struct {
+	slab []sched.DataLoc
+	free [][][]sched.DataLoc // free[n]: returned lists of capacity n
+}
+
+// borrow returns a zero-length DataLoc slice with capacity n: a returned
+// list of that capacity when one is free, else the slab's next n entries,
+// starting a geometrically larger slab when the current one is short.
+func (p *inputPool) borrow(n int) []sched.DataLoc {
+	if n < len(p.free) {
+		if f := p.free[n]; len(f) > 0 {
+			s := f[len(f)-1]
+			p.free[n] = f[:len(f)-1]
+			return s
+		}
 	}
-	k := len(r.inputSlab)
-	s := r.inputSlab[k : k : k+n]
-	r.inputSlab = r.inputSlab[:k+n]
+	if cap(p.slab)-len(p.slab) < n {
+		p.slab = make([]sched.DataLoc, 0, max(2*cap(p.slab), 1024, n))
+	}
+	k := len(p.slab)
+	s := p.slab[k : k : k+n]
+	p.slab = p.slab[:k+n]
 	return s
 }
 
-// reserveInputs makes room for n more input entries in the current slab,
-// starting a slab of exactly that capacity when the current one is short.
-func (r *simRun) reserveInputs(n int) {
-	if cap(r.inputSlab)-len(r.inputSlab) >= n {
+// give files a borrowed list for reuse. The caller must hold no other
+// reference to it.
+func (p *inputPool) give(s []sched.DataLoc) {
+	n := cap(s)
+	if n == 0 {
 		return
 	}
-	slab := make([]sched.DataLoc, 0, n)
-	if a := r.cfg.Arena; a != nil && cap(slab) > cap(a.inputs) {
-		a.inputs = slab
+	for len(p.free) <= n {
+		// Grows only to the largest read count of any task.
+		p.free = append(p.free, nil) //wfsimlint:allow hotalloc
 	}
-	r.inputSlab = slab
+	// Grows only to the peak number of live lists of this length.
+	p.free[n] = append(p.free[n], s[:0]) //wfsimlint:allow hotalloc
 }
 
 // enqueue registers a ready task and files a dispatch request with the
@@ -711,7 +718,7 @@ func (r *simRun) enqueue(s *session, task int) {
 		}
 	}
 	if nReads > 0 {
-		ref.Inputs = r.borrowInputs(nReads)
+		ref.Inputs = r.inputs.borrow(nReads)
 		for i, d := range dirs {
 			if d.Reads() {
 				id := ids[i]
@@ -1248,6 +1255,9 @@ func (a *attempt) abort(out attemptOutcome) {
 // returns the attempt to the pool.
 func (a *attempt) finish(out attemptOutcome) {
 	r, s, task, name := a.r, a.s, a.ref.ID, a.ref.Name
+	// The ref ends here: every outcome that runs the task again enqueues
+	// it afresh, with a new input list.
+	r.inputs.give(a.ref.Inputs)
 	r.freeAttempt(a)
 	switch out {
 	case attemptDone:

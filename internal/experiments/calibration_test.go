@@ -245,11 +245,21 @@ func TestCalibrationFig12FMA(t *testing.T) {
 	}
 }
 
+// TestCalibrationFig9bSkew runs fig9b, a wall-clock timing of real
+// kernels, once per test run: it checks both the calibration and the
+// rendered output (fig9b's render coverage lives here, not in
+// render_test.go, so the experiment is not timed twice).
 func TestCalibrationFig9bSkew(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-execution timing experiment")
 	}
 	r := mustRun(t, "fig9b").(*Fig9bResult)
+	assertContains(t, r.Render(),
+		"Figure 9b",
+		"0% skew", "50% skew",
+		"matmul", "kmeans",
+		"delta",
+	)
 	for _, p := range r.Points {
 		// Real kernels on uniform vs skewed data: the paper finds no
 		// effect. Wall-clock noise (this test shares the machine with the

@@ -192,6 +192,14 @@ func scratchOf(ctx context.Context) *cellScratch {
 	return sc
 }
 
+// bind streams cfg's records into the scratch's aggregator, reset for this
+// run, and runs it on the scratch's arena.
+func (sc *cellScratch) bind(cfg runtime.SimConfig) runtime.SimConfig {
+	sc.agg.Reset()
+	cfg.Sink, cfg.Arena = sc.agg, &sc.arena
+	return cfg
+}
+
 // RunCell executes one factor combination on the simulator and aggregates
 // the paper's metrics. OOM configurations return a Cell with OOM set
 // rather than an error, mirroring the figures' annotations. Called from a
@@ -225,8 +233,7 @@ func runCell(cfg CellConfig, scratch *cellScratch) (Cell, error) {
 	cell.GridString = part.GridString()
 	cell.Complexity = headlineComplexity(cfg, part)
 
-	scratch.agg.Reset()
-	res, err := runtime.RunSim(wf, runtime.SimConfig{
+	res, err := runtime.RunSim(wf, scratch.bind(runtime.SimConfig{
 		Cluster: cfg.Cluster,
 		Params:  cfg.Params,
 		Storage: cfg.Storage,
@@ -234,9 +241,7 @@ func runCell(cfg CellConfig, scratch *cellScratch) (Cell, error) {
 		Device:  cfg.Device,
 		Seed:    cfg.Seed,
 		Faults:  cfg.Faults,
-		Sink:    scratch.agg,
-		Arena:   &scratch.arena,
-	})
+	}))
 	if err != nil {
 		if runtime.ErrOOM(err) {
 			cell.OOM = true

@@ -51,7 +51,7 @@ func runExt3(ctx context.Context, eng *runner.Engine) (Result, error) {
 	}
 	rows, err := runner.Map(ctx, eng, "ext3", specs,
 		func(s ext3Spec) string { return resultcache.KeyOf("ext3", s.slow, int(s.pol)).Hex() },
-		func(_ context.Context, s ext3Spec) (Ext3Row, error) {
+		func(ctx context.Context, s ext3Spec) (Ext3Row, error) {
 			speeds := make([]float64, spec.Nodes)
 			for i := range speeds {
 				speeds[i] = 1
@@ -63,11 +63,11 @@ func runExt3(ctx context.Context, eng *runner.Engine) (Result, error) {
 			if err != nil {
 				return Ext3Row{}, err
 			}
-			res, err := runtime.RunSim(wf, runtime.SimConfig{
+			res, err := runtime.RunSim(wf, scratchOf(ctx).bind(runtime.SimConfig{
 				Device:    costmodel.CPU,
 				Policy:    s.pol,
 				NodeSpeed: speeds,
-			})
+			}))
 			if err != nil {
 				return Ext3Row{}, err
 			}

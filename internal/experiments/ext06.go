@@ -9,7 +9,6 @@ import (
 	"wfsim/internal/cluster"
 	"wfsim/internal/costmodel"
 	"wfsim/internal/dataset"
-	"wfsim/internal/metrics"
 	"wfsim/internal/resultcache"
 	"wfsim/internal/runner"
 	"wfsim/internal/runtime"
@@ -93,7 +92,7 @@ func ext6Speeds(nodes int) []float64 {
 	return speeds
 }
 
-func ext6Run(s ext6Spec) (Ext6Row, error) {
+func ext6Run(s ext6Spec, scratch *cellScratch) (Ext6Row, error) {
 	wf, err := kmeans.Build(kmeans.Config{
 		Dataset: dataset.KMeansSmall, Grid: s.shape.grid, Clusters: 10,
 		Iterations: s.shape.iterations,
@@ -103,9 +102,7 @@ func ext6Run(s ext6Spec) (Ext6Row, error) {
 	}
 	params := costmodel.DefaultParams()
 	params.SchedOverheadScale = s.scale
-	agg := metrics.NewAggregates()
-	var arena runtime.Arena
-	res, err := runtime.RunSim(wf, runtime.SimConfig{
+	res, err := runtime.RunSim(wf, scratch.bind(runtime.SimConfig{
 		// Two cores per node keeps every wave wider than the cluster's
 		// total core count, so per-node queueing is real and placement
 		// quality separates the policies at scale 0.
@@ -119,9 +116,7 @@ func ext6Run(s ext6Spec) (Ext6Row, error) {
 		Policy:    s.pol,
 		NodeSpeed: ext6Speeds(s.nodes),
 		Seed:      11,
-		Sink:      agg,
-		Arena:     &arena,
-	})
+	}))
 	if err != nil {
 		return Ext6Row{}, err
 	}
@@ -147,7 +142,7 @@ func runExt6(ctx context.Context, eng *runner.Engine) (Result, error) {
 		func(s ext6Spec) string {
 			return resultcache.KeyOf("ext6", s.shape.name, s.nodes, s.scale, int(s.pol)).Hex()
 		},
-		func(_ context.Context, s ext6Spec) (Ext6Row, error) { return ext6Run(s) })
+		func(ctx context.Context, s ext6Spec) (Ext6Row, error) { return ext6Run(s, scratchOf(ctx)) })
 	if err != nil {
 		return nil, err
 	}

@@ -70,19 +70,6 @@ func TestRenderFig9a(t *testing.T) {
 	)
 }
 
-func TestRenderFig9b(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real execution")
-	}
-	out := renderOf(t, "fig9b")
-	assertContains(t, out,
-		"Figure 9b",
-		"0% skew", "50% skew",
-		"matmul", "kmeans",
-		"delta",
-	)
-}
-
 func TestRenderFig10(t *testing.T) {
 	out := renderOf(t, "fig10a")
 	assertContains(t, out,

@@ -162,9 +162,6 @@ type Injector struct {
 	crashes  int
 	episodes int
 
-	pending []sim.Event // one crash-cycle and one straggler-cycle event per node
-	stopped bool
-
 	// OnCrash and OnRepair fire engine-side at the crash/repair instant,
 	// after the injector's own state flip. The runtime uses them to
 	// invalidate storage and to drain stalled tasks.
@@ -184,7 +181,6 @@ func NewInjector(eng *sim.Engine, cfg Config, n int) *Injector {
 		epoch:    make([]uint64, n),
 		slow:     make([]float64, n),
 		upCount:  n,
-		pending:  make([]sim.Event, 2*n),
 	}
 	for i := 0; i < n; i++ {
 		inj.up[i] = true
@@ -197,6 +193,8 @@ func NewInjector(eng *sim.Engine, cfg Config, n int) *Injector {
 func (i *Injector) Config() Config { return i.cfg }
 
 // Start schedules the first crash and straggler episode of every node.
+// The cycles never end on their own: the run ends them by stopping the
+// engine (sim.Engine.Stop) once its work is done.
 func (i *Injector) Start() {
 	for n := 0; n < i.nodes; n++ {
 		if i.cfg.NodeMTBF > 0 {
@@ -208,22 +206,9 @@ func (i *Injector) Start() {
 	}
 }
 
-// Stop cancels every pending fault event so the engine can drain. Called
-// by the runtime at workflow completion (or on a fatal task failure);
-// without it the crash/repair cycles would keep the clock alive forever.
-func (i *Injector) Stop() {
-	if i.stopped {
-		return
-	}
-	i.stopped = true
-	for _, ev := range i.pending {
-		ev.Cancel()
-	}
-}
-
 func (i *Injector) scheduleCrash(n int) {
 	d := i.crashRng.ExpFloat64() * i.cfg.NodeMTBF
-	i.pending[2*n] = i.eng.Schedule(d, func() { i.crash(n) })
+	i.eng.Schedule(d, func() { i.crash(n) })
 }
 
 func (i *Injector) crash(n int) {
@@ -235,7 +220,7 @@ func (i *Injector) crash(n int) {
 		i.OnCrash(n)
 	}
 	d := i.crashRng.ExpFloat64() * i.cfg.NodeMTTR
-	i.pending[2*n] = i.eng.Schedule(d, func() { i.repair(n) })
+	i.eng.Schedule(d, func() { i.repair(n) })
 }
 
 func (i *Injector) repair(n int) {
@@ -249,14 +234,14 @@ func (i *Injector) repair(n int) {
 
 func (i *Injector) scheduleEpisode(n int) {
 	d := i.slowRng.ExpFloat64() * i.cfg.StragglerMTBF
-	i.pending[2*n+1] = i.eng.Schedule(d, func() { i.slowStart(n) })
+	i.eng.Schedule(d, func() { i.slowStart(n) })
 }
 
 func (i *Injector) slowStart(n int) {
 	i.slow[n] = i.cfg.StragglerFactor
 	i.episodes++
 	d := i.slowRng.ExpFloat64() * i.cfg.StragglerDuration
-	i.pending[2*n+1] = i.eng.Schedule(d, func() { i.slowEnd(n) })
+	i.eng.Schedule(d, func() { i.slowEnd(n) })
 }
 
 func (i *Injector) slowEnd(n int) {

@@ -71,7 +71,7 @@ func crashLog(t *testing.T, cfg Config, horizon float64) []float64 {
 	inj.OnCrash = func(n int) { log = append(log, eng.Now()) }
 	inj.OnRepair = func(n int) { log = append(log, -eng.Now()) }
 	inj.Start()
-	eng.Schedule(horizon, inj.Stop)
+	eng.Schedule(horizon, eng.Stop)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestCrashFlipsStateAndEpoch(t *testing.T) {
 		}
 	}
 	inj.Start()
-	eng.Schedule(20, inj.Stop)
+	eng.Schedule(20, eng.Stop)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestStragglerEpisodesAndStop(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		eng.Schedule(float64(i)*0.2, probe)
 	}
-	eng.Schedule(21, inj.Stop)
+	eng.Schedule(21, eng.Stop)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -182,9 +182,11 @@ func TestStragglerEpisodesAndStop(t *testing.T) {
 	if inj.Episodes() == 0 {
 		t.Fatal("episode counter stayed zero")
 	}
-	// Stop must cancel pending events: the engine drained, so Run returned.
-	// A second Stop is a no-op.
-	inj.Stop()
+	// The crash and straggler cycles never end on their own: Run returned
+	// because Stop dropped the pending cycle events.
+	if p := eng.Pending(); p != 0 {
+		t.Fatalf("Pending() after Stop = %d, want 0", p)
+	}
 }
 
 func TestAttemptFailsRespectsProb(t *testing.T) {

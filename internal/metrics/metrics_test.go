@@ -157,8 +157,17 @@ func TestWritePRV(t *testing.T) {
 		t.Fatal("missing Paraver header")
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 6 {
-		t.Fatalf("PRV lines = %d, want 6", len(lines))
+	if len(lines) != 1+c.Len() {
+		t.Fatalf("PRV lines = %d, want a header and %d records", len(lines), c.Len())
+	}
+	// The header carries the makespan (8 s) in ns and the record count.
+	if want := "#Paraver (wfsim):8000000000_ns:1(5):1:1(5:1)"; lines[0] != want {
+		t.Fatalf("header = %q, want %q", lines[0], want)
+	}
+	// Task 1's parallel stage on core 1 over [2 s, 6 s]: core and task are
+	// 1-based, times are ns, and the state is the stage plus one.
+	if want := "1:2:1:2:1:2000000000:6000000000:4"; lines[4] != want {
+		t.Fatalf("record 3 = %q, want %q", lines[4], want)
 	}
 	// State records are 8 colon-separated fields starting with "1".
 	for _, l := range lines[1:] {

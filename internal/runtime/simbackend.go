@@ -544,9 +544,9 @@ func (r *simRun) addSession(wf *Workflow, tenant int32, ranks, costs []float64, 
 
 // finishSession runs once when a session's last task completes: stamps
 // the finish instant, fires the teardown callback with the session still
-// intact, and stops the fault injector once nothing is left to run
-// (pending fault events would otherwise keep the virtual clock alive
-// forever).
+// intact, and stops the engine once nothing is left to run (the fault
+// injector's crash and straggler cycles would otherwise keep the virtual
+// clock alive forever).
 func (r *simRun) finishSession(s *session) {
 	if s.ended {
 		return
@@ -557,8 +557,8 @@ func (r *simRun) finishSession(s *session) {
 	if s.onDone != nil {
 		s.onDone(s)
 	}
-	if r.faults != nil && r.active == 0 && r.pendingSubmits == 0 {
-		r.faults.Stop()
+	if r.active == 0 && r.pendingSubmits == 0 {
+		r.eng.Stop()
 	}
 }
 
@@ -695,7 +695,7 @@ func (p *inputPool) give(s []sched.DataLoc) {
 // lineage waiters) bypass the quota — the task already holds its unit.
 func (r *simRun) enqueue(s *session, task int) {
 	if r.failErr != nil {
-		return // fatal failure: the run is draining, nothing new starts
+		return // fatal failure: the run has stopped, nothing new starts
 	}
 	g := s.wf.Graph
 	ref := sched.TaskRef{
@@ -1276,11 +1276,11 @@ func (a *attempt) finish(out attemptOutcome) {
 		s.attempts[task]++
 		n := int(s.attempts[task])
 		if n >= r.fcfg.MaxAttempts {
-			// Terminal failure path: the run aborts right after.
+			// Terminal failure path: the run ends here.
 			//wfsimlint:allow hotalloc
 			r.failErr = fmt.Errorf("runtime: task %d (%s) exhausted %d attempts under transient failures",
 				task, name, n)
-			r.faults.Stop()
+			r.eng.Stop()
 			return
 		}
 		r.stats.Retries++

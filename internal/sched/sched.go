@@ -91,8 +91,8 @@ type View struct {
 	XferRate float64
 }
 
-// UpNode reports whether node n accepts work.
-func (v *View) UpNode(n int) bool { return v.Up == nil || v.Up[n] }
+// upNode reports whether node n accepts work.
+func (v *View) upNode(n int) bool { return v.Up == nil || v.Up[n] }
 
 // speed returns node n's compute-rate multiplier (1 when homogeneous).
 func (v *View) speed(n int) float64 {
@@ -107,7 +107,7 @@ func (v *View) speed(n int) float64 {
 func (v *View) leastLoaded() int {
 	best, bestLoad := -1, int(^uint(0)>>1)
 	for n := 0; n < v.NumNodes; n++ {
-		if v.UpNode(n) && v.Load[n] < bestLoad {
+		if v.upNode(n) && v.Load[n] < bestLoad {
 			best, bestLoad = n, v.Load[n]
 		}
 	}
@@ -476,7 +476,7 @@ func (r *residency) tally(t TaskRef, v *View) {
 		// Membership is tracked explicitly (seen), not via byNode[n] == 0:
 		// zero-byte inputs are legal, and keying on the tally would append
 		// the same node to touched once per such input.
-		if n, ok := v.Locate(in.ID); ok && n >= 0 && n < v.NumNodes && v.UpNode(n) {
+		if n, ok := v.Locate(in.ID); ok && n >= 0 && n < v.NumNodes && v.upNode(n) {
 			if !r.seen[n] {
 				r.seen[n] = true
 				// Capacity is retained across decisions and bounded by the
@@ -565,7 +565,7 @@ func (*randomSched) Next(q *Queue, t int32) (TaskRef, bool) { return q.PopFrontT
 func (r *randomSched) Place(t TaskRef, v *View) int {
 	n := r.rng.IntN(v.NumNodes)
 	for k := 0; k < v.NumNodes; k++ {
-		if c := (n + k) % v.NumNodes; v.UpNode(c) {
+		if c := (n + k) % v.NumNodes; v.upNode(c) {
 			return c
 		}
 	}
@@ -586,7 +586,7 @@ func eftNode(t TaskRef, v *View, res *residency) int {
 	}
 	best, bestEFT := -1, math.Inf(1)
 	for n := 0; n < v.NumNodes; n++ {
-		if !v.UpNode(n) {
+		if !v.upNode(n) {
 			continue
 		}
 		eft := float64(v.Load[n] + 1)
@@ -713,7 +713,7 @@ func (w *workStealSched) Place(t TaskRef, v *View) int {
 	if w.bound {
 		n := w.pending
 		w.bound = false
-		if n < v.NumNodes && v.UpNode(n) {
+		if n < v.NumNodes && v.upNode(n) {
 			return n
 		}
 	}
@@ -726,7 +726,7 @@ func (w *workStealSched) Place(t TaskRef, v *View) int {
 func refHome(t TaskRef, v *View) int {
 	best, bestBytes := -1, -1.0
 	for _, in := range t.Inputs {
-		if n, ok := v.Locate(in.ID); ok && n >= 0 && n < v.NumNodes && v.UpNode(n) && in.Bytes > bestBytes {
+		if n, ok := v.Locate(in.ID); ok && n >= 0 && n < v.NumNodes && v.upNode(n) && in.Bytes > bestBytes {
 			best, bestBytes = n, in.Bytes
 		}
 	}

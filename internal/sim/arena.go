@@ -6,12 +6,10 @@ package sim
 // instead of once per trial.
 //
 // Lifetime rules (see DESIGN.md §12): an Arena may be used by one run at a
-// time (runner gives each worker its own); Engine.Release may only be
-// called after Run has returned, when no events are pending; and adopted
-// node slabs get a generation bump, so Event handles from a released run
-// degrade into no-ops exactly like handles to recycled pool nodes within
-// a run. Continuations are owned by their callers, who re-bind them to the
-// next engine (Engine.Bind).
+// time (runner gives each worker its own), and Engine.Release may only be
+// called after Run has returned, when no events are pending. Continuations
+// are owned by their callers, who re-bind them to the next engine
+// (Engine.Bind).
 type Arena struct {
 	slabs [][]event
 	free  []*event
@@ -21,8 +19,7 @@ type Arena struct {
 
 // NewIn returns an engine whose substrate storage is adopted from the
 // arena (New semantics when a is nil or empty). Every adopted node is
-// re-stamped: generation bumped, re-pointed at the new engine, and filed
-// on the free list.
+// reset, re-pointed at the new engine, and filed on the free list.
 func NewIn(a *Arena) *Engine {
 	e := New()
 	if a == nil {
@@ -32,14 +29,8 @@ func NewIn(a *Arena) *Engine {
 	e.free, a.free = a.free[:0], nil
 	for _, slab := range e.slabs {
 		for i := range slab {
-			n := &slab[i]
-			n.gen++
-			n.eng = e
-			n.index = -1
-			n.fn = nil
-			n.role = rolePlain
-			n.canceled = false
-			e.free = append(e.free, n)
+			slab[i] = event{eng: e, index: -1}
+			e.free = append(e.free, &slab[i])
 		}
 	}
 	e.heap, a.heap = a.heap, nil

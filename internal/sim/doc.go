@@ -17,13 +17,18 @@
 // the same virtual timestamps, regardless of GOMAXPROCS.
 //
 // The substrate is allocation-lean by design — this package is the hot path
-// of every experiment sweep. Event nodes are pooled and recycled
-// (generation-stamped handles keep Cancel safe across reuse); continuations
-// and link flows own their nodes and reuse them across every park/resume
-// cycle; blocking primitives reschedule pre-bound event nodes in place on
-// the live heap (Engine.Reschedule / heap fix) instead of cancelling and
-// re-pushing. Steady-state event traffic allocates nothing, and Arena
-// carries the warmed storage from one engine to the next.
+// of every experiment sweep. Engine.Schedule is fire-and-forget: its event
+// nodes are pooled and recycled, and no handle to them escapes.
+// Continuations and link flows own their nodes and reuse them across every
+// park/resume cycle; a Link moves its completion node in place on the live
+// heap (a heap fix) instead of removing and re-pushing it. Steady-state
+// event traffic allocates nothing, and Arena carries the warmed storage
+// from one engine to the next.
+//
+// A run ends when its schedule drains or when a callback calls
+// Engine.Stop, which drops every pending event; that is how a simulation
+// with endless background activity (fault injection's crash and straggler
+// cycles) ends once its work is done.
 //
 // Three primitives cover everything the cluster model needs:
 //

@@ -16,11 +16,9 @@ type event struct {
 
 	fn func()
 
-	eng      *Engine
-	index    int    // heap index, -1 while off-heap
-	gen      uint64 // bumped each time a pooled node is recycled
-	role     role   // fixed when the node is created; counted at dispatch
-	canceled bool
+	eng   *Engine
+	index int  // heap index, -1 while off-heap
+	role  role // fixed when the node is created; counted at dispatch
 }
 
 // role says what an event node is for. Every node but a pooled Schedule
@@ -34,56 +32,6 @@ const (
 	roleJoin                 // a flow's startup-latency join (busy Link, or zero bytes)
 	nRoles
 )
-
-// Event is a handle to a scheduled callback, returned by Engine.Schedule.
-// It is a small value (copyable) carrying a generation stamp, so a handle
-// that outlives its event — the underlying storage may have been recycled
-// for a later Schedule — degrades safely: Cancel becomes a no-op and
-// Canceled reports false rather than corrupting an unrelated event.
-type Event struct {
-	n   *event
-	gen uint64
-}
-
-// Cancel removes the event from the schedule so it never fires. Cancelling
-// an already-fired, already-cancelled or zero Event is a no-op.
-func (ev Event) Cancel() {
-	n := ev.n
-	if n == nil || n.gen != ev.gen || n.index == -1 || n.canceled {
-		return
-	}
-	n.canceled = true
-	if n.index == ringIndex {
-		// The ring entry goes stale (index no longer matches) and is
-		// reaped lazily at pop.
-		n.index = -1
-		n.eng.ringLive--
-	} else {
-		n.eng.heap.remove(n.index)
-	}
-	// The node is intentionally NOT pooled: it keeps its generation and
-	// canceled flag forever, so Canceled() on this handle stays accurate.
-}
-
-// Canceled reports whether Cancel was called on the event.
-func (ev Event) Canceled() bool {
-	return ev.n != nil && ev.n.gen == ev.gen && ev.n.canceled
-}
-
-// Scheduled reports whether the event is still pending (not yet fired and
-// not cancelled).
-func (ev Event) Scheduled() bool {
-	return ev.n != nil && ev.n.gen == ev.gen && ev.n.index != -1
-}
-
-// At returns the virtual time at which the event is scheduled to fire. It
-// is meaningful only while the event is pending (see Scheduled).
-func (ev Event) At() float64 {
-	if ev.n == nil || ev.n.gen != ev.gen {
-		return math.NaN()
-	}
-	return ev.n.at
-}
 
 // heapEntry is one scheduled event with its ordering key inlined: sift
 // comparisons read (at, seq) straight from the heap's backing array instead
@@ -190,25 +138,6 @@ func (h eventHeap) fix(i int) {
 	}
 }
 
-// remove deletes the element at index i.
-func (h *eventHeap) remove(i int) {
-	old := *h
-	last := len(old) - 1
-	removed := old[i].n
-	if i != last {
-		old[i] = old[last]
-		old[i].n.index = i
-	}
-	old[last] = heapEntry{}
-	*h = old[:last]
-	if i < last {
-		if !old[:last].down(i) {
-			old[:last].up(i)
-		}
-	}
-	removed.index = -1
-}
-
 // ringIndex is the event.index sentinel for nodes parked on the engine's
 // zero-delay ring rather than the heap. Off-queue stays exactly
 // -1: every "is this node pending" check in the package tests index != -1,
@@ -216,9 +145,9 @@ func (h *eventHeap) remove(i int) {
 const ringIndex = -2
 
 // ringEntry is one zero-delay ring slot. The seq snapshot detects stale
-// entries: cancelling or rescheduling the node changes n.index or n.seq,
-// and the mismatched entry is skipped at pop instead of being searched for
-// and removed eagerly.
+// entries: rescheduling the node (fixNode) changes n.index or n.seq, and
+// the mismatched entry is skipped at pop instead of being searched for and
+// removed eagerly.
 type ringEntry struct {
 	seq uint64
 	n   *event
@@ -271,7 +200,8 @@ type Engine struct {
 	stats  Stats
 	byRole [nRoles]uint64 // dispatched events by role; they sum to Dispatched
 
-	ran bool
+	ran     bool
+	stopped bool // Stop was called: a parked continuation is no deadlock
 }
 
 // Stats are the engine's deterministic activity counters: the same
@@ -339,7 +269,7 @@ func (e *Engine) popNode() *event {
 		if ent.n.index == ringIndex && ent.n.seq == ent.seq {
 			break
 		}
-		ent.n = nil // cancelled or rescheduled away: reap
+		ent.n = nil // rescheduled away: reap
 		e.ringHead++
 	}
 	if e.ringHead == len(e.ring) {
@@ -400,12 +330,9 @@ func (e *Engine) getNode() *event {
 	return n
 }
 
-// putNode recycles a fired pool-owned node. Bumping the generation
-// invalidates every outstanding handle to the node's previous use.
+// putNode recycles a fired pool-owned node.
 func (e *Engine) putNode(n *event) {
-	n.gen++
 	n.fn = nil
-	n.canceled = false
 	e.free = append(e.free, n)
 }
 
@@ -430,15 +357,13 @@ func (e *Engine) schedAt(n *event, at float64) {
 	n.at = at
 	e.seq++
 	n.seq = e.seq
-	n.canceled = false
 	e.pushNode(n)
 }
 
 // fixNode reschedules a node in place: if it is on the heap its position is
 // repaired with fix (no pop/re-push, no dead entry left behind); otherwise
-// it is pushed. Either way it receives a fresh sequence number, exactly as
-// if it had been cancelled and re-scheduled — so event ordering is
-// identical to the cancel-and-repush protocol it replaces.
+// it is pushed. Either way it receives a fresh sequence number, so it
+// orders among same-instant events exactly as a newly scheduled one.
 func (e *Engine) fixNode(n *event, delay float64) {
 	e.checkDelay(delay)
 	n.at = e.now + delay
@@ -459,34 +384,16 @@ func (e *Engine) fixNode(n *event, delay float64) {
 			e.pushNode(n)
 		}
 	default:
-		n.canceled = false
 		e.pushNode(n)
 	}
 }
 
-// Schedule registers fn to run after delay seconds of virtual time and
-// returns a handle so it can be cancelled or rescheduled. A negative or NaN
-// delay panics.
-func (e *Engine) Schedule(delay float64, fn func()) Event {
+// Schedule registers fn to run after delay seconds of virtual time. A
+// negative or NaN delay panics.
+func (e *Engine) Schedule(delay float64, fn func()) {
 	n := e.getNode()
 	n.fn = fn
 	e.schedNode(n, delay)
-	return Event{n: n, gen: n.gen}
-}
-
-// Reschedule moves a still-pending event to fire after delay seconds from
-// the current instant, updating its position in the schedule in place
-// (fix on the live heap index) instead of cancelling and re-adding it. The
-// event receives a fresh sequence number, so it orders among same-instant
-// events exactly as a newly scheduled one. Rescheduling an event that
-// already fired or was cancelled panics: it no longer exists, so the caller
-// holds a stale handle and must Schedule anew.
-func (e *Engine) Reschedule(ev Event, delay float64) {
-	n := ev.n
-	if n == nil || n.gen != ev.gen || n.index == -1 {
-		panic(fmt.Sprintf("sim: Reschedule of completed event at t=%v", e.now))
-	}
-	e.fixNode(n, delay)
 }
 
 // waitInPlace advances the clock by d without scheduling anything when no
@@ -530,10 +437,32 @@ func (e *Engine) dispatch() {
 	}
 }
 
-// Run executes events until the queue drains. It returns an error if the
-// queue drains while continuations are still queued on a Server (a
-// deadlock: some activity waits for a slot that will never be released).
-// Run may only be called once per engine.
+// Stop ends the run: it drops every pending event, so Run returns once the
+// current callback does, and a stopped run never reports a deadlock,
+// whatever is still queued on a Server. Dropped nodes go back off-queue:
+// an owned node can be scheduled or re-bound again, and pool nodes rejoin
+// the pool when Release hands the storage to the next engine. An event the
+// current callback schedules after Stop still fires, so Stop is the run's
+// last scheduling act. Stopping twice is a no-op.
+func (e *Engine) Stop() {
+	e.stopped = true
+	for i := e.ringHead; i < len(e.ring); i++ {
+		e.ring[i].n.index = -1
+		e.ring[i] = ringEntry{}
+	}
+	e.ring, e.ringHead, e.ringLive = e.ring[:0], 0, 0
+	for i := range e.heap {
+		e.heap[i].n.index = -1
+		e.heap[i] = heapEntry{}
+	}
+	e.heap = e.heap[:0]
+}
+
+// Run executes events until the queue drains or Stop is called. It returns
+// an error if the queue drains while continuations are still queued on a
+// Server (a deadlock: some activity waits for a slot that will never be
+// released), unless the run was stopped. Run may only be called once per
+// engine.
 func (e *Engine) Run() error {
 	if e.ran {
 		return fmt.Errorf("sim: Run called twice") //wfsimlint:allow hotalloc
@@ -543,7 +472,7 @@ func (e *Engine) Run() error {
 	if e.err != nil {
 		return e.err
 	}
-	if e.parked > 0 {
+	if e.parked > 0 && !e.stopped {
 		// Terminal diagnosis after the queue drained: never steady-state.
 		//wfsimlint:allow hotalloc
 		return fmt.Errorf("sim: deadlock: %d continuation(s) queued on servers with no pending events at t=%v",
@@ -552,7 +481,6 @@ func (e *Engine) Run() error {
 	return nil
 }
 
-// Pending returns the number of live scheduled events. Cancelled events
-// never count: the heap removes them immediately, and Cancel decrements
-// the ring's live count even though the ring entry is reaped lazily.
+// Pending returns the number of live scheduled events. A ring entry left
+// stale by a reschedule never counts.
 func (e *Engine) Pending() int { return len(e.heap) + e.ringLive }

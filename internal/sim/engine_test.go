@@ -52,22 +52,6 @@ func TestScheduleZeroDelayDuringRun(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	e := New()
-	fired := false
-	ev := e.Schedule(1.0, func() { fired = true })
-	e.Schedule(0.5, func() { ev.Cancel() })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if !ev.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
-	}
-}
-
 func TestScheduleInvalidDelayPanics(t *testing.T) {
 	for _, d := range []float64{-1, math.NaN()} {
 		func() {
@@ -88,6 +72,53 @@ func TestRunTwice(t *testing.T) {
 	}
 	if err := e.Run(); err == nil {
 		t.Fatal("second Run did not error")
+	}
+}
+
+// TestStop pins how a run ends early: Stop inside a callback drops every
+// pending event, heap and ring alike, so Run returns nil once that callback
+// does, even with a continuation still queued on a Server. Pending is then
+// 0, a second Stop is a no-op, and the dropped nodes are off the schedule:
+// an owned one can be re-bound, and the engine's storage serves the next
+// run through an arena.
+func TestStop(t *testing.T) {
+	var a Arena
+	e := NewIn(&a)
+	srv := NewServer(e, "cpu", 1)
+	holder := spawn(e, 0, acquire(srv), wait(10), do(srv.Release))
+	spawn(e, 0, acquire(srv), do(func() { t.Error("parked continuation ran after Stop") }))
+	stopped := false
+	e.Schedule(1, func() {
+		e.Schedule(0, func() { t.Error("ring event fired after Stop") })
+		e.Stop()
+		stopped = true
+		if p := e.Pending(); p != 0 {
+			t.Errorf("Pending() right after Stop = %d, want 0", p)
+		}
+	})
+	e.Schedule(1, func() { t.Error("same-instant event fired after Stop") })
+	e.Schedule(2, func() { t.Error("later event fired after Stop") })
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run() = %v, want nil for a stopped run", err)
+	}
+	if !stopped || e.Now() != 1 {
+		t.Fatalf("stopped = %v at t=%v, want true at 1", stopped, e.Now())
+	}
+	if srv.QueueLen() != 1 {
+		t.Fatalf("server queue = %d, want the parked continuation", srv.QueueLen())
+	}
+	e.Stop()
+	if p := e.Pending(); p != 0 {
+		t.Fatalf("Pending() after a second Stop = %d, want 0", p)
+	}
+	e.Release(&a)
+
+	e2 := NewIn(&a)
+	e2.Bind(&holder.c, func() {}) // panics if the dropped node were still scheduled
+	fired := false
+	e2.Schedule(1, func() { fired = true })
+	if err := e2.Run(); err != nil || !fired {
+		t.Fatalf("run on the released arena: err = %v, fired = %v", err, fired)
 	}
 }
 
@@ -211,11 +242,13 @@ func refCompare(a, b refEvent) int {
 }
 
 // TestEngineOrderMatchesReference drives the engine through seeded random
-// Schedule, Reschedule, Cancel and zero-delay traffic issued from inside
-// event callbacks, and checks every fired event against a brute-force
-// reference: the live pending set keyed by (at, seq), where seq counts
-// Schedule and Reschedule calls exactly as the engine does. Every eighth
-// trial keeps more than 16384 events pending throughout its traffic phase.
+// scheduling, in-place rescheduling and zero-delay traffic issued from
+// inside event callbacks, and checks every fired event against a
+// brute-force reference: the live pending set keyed by (at, seq), where seq
+// counts schedules and reschedules exactly as the engine does. Events with
+// even IDs are pool nodes from Schedule; odd IDs are owned nodes, which
+// fixNode reschedules in place. Every eighth trial keeps more than 16384
+// events pending throughout its traffic phase.
 func TestEngineOrderMatchesReference(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {
@@ -227,7 +260,7 @@ func TestEngineOrderMatchesReference(t *testing.T) {
 			e := New()
 			var (
 				live    []refEvent // pending events, unordered until drained
-				handles []Event    // id -> engine handle
+				nodes   []*event   // id -> owned node; nil for a pool node
 				seq     uint64
 				ops     = 4000 // traffic budget; then the queue drains
 				drained bool   // live is sorted and consumed front to back
@@ -271,16 +304,15 @@ func TestEngineOrderMatchesReference(t *testing.T) {
 					switch op := rng.IntN(20); {
 					case op < 12 || len(live) == 0:
 						schedule(delay(100))
-					case op < 17:
+					default:
 						r := &live[rng.IntN(len(live))]
+						if nodes[r.id] == nil {
+							break // pool nodes are fire-and-forget
+						}
 						d := delay(50)
-						e.Reschedule(handles[r.id], d)
+						e.fixNode(nodes[r.id], d)
 						seq++
 						r.at, r.seq = e.Now()+d, seq
-					default:
-						i := rng.IntN(len(live))
-						handles[live[i].id].Cancel()
-						drop(i)
 					}
 				}
 				if ops == 0 && !drained {
@@ -295,10 +327,15 @@ func TestEngineOrderMatchesReference(t *testing.T) {
 				}
 			}
 			schedule = func(d float64) {
-				id := len(handles)
+				id := len(nodes)
 				seq++
 				live = append(live, refEvent{at: e.Now() + d, seq: seq, id: id})
-				handles = append(handles, e.Schedule(d, func() { fire(id) }))
+				if id%2 == 0 {
+					nodes = append(nodes, nil)
+					e.Schedule(d, func() { fire(id) })
+				} else {
+					nodes = append(nodes, at(e, d, func() { fire(id) }))
+				}
 			}
 			for i := 0; i < bulk; i++ {
 				schedule(delay(100))

@@ -32,8 +32,8 @@ const completionEpsilon = 1e-6
 // while the link is busy schedules one, and so does a zero-byte transfer
 // whose latency cannot elapse in place.
 //
-// The link owns a single completion event node, moved in place with
-// heap.Fix on every membership change (no cancel-and-repush, no dead heap
+// The link owns a single completion event node, moved in place with a heap
+// fix on every membership change (no removal and re-push, no dead heap
 // entries), and a free list of flow structs, so steady-state transfer
 // traffic allocates nothing.
 type Link struct {
@@ -92,9 +92,6 @@ func (l *Link) Name() string { return l.name }
 
 // Bandwidth returns the link's total bandwidth in bytes per second.
 func (l *Link) Bandwidth() float64 { return l.bw }
-
-// Latency returns the per-transfer startup latency in seconds.
-func (l *Link) Latency() float64 { return l.latency }
 
 // Active returns the number of flows currently sharing the link.
 func (l *Link) Active() int { return len(l.active) }
@@ -178,8 +175,7 @@ func (l *Link) putFlow(f *flow) {
 // forces it to zero, which guarantees progress even when the delay is too
 // small to advance the clock (a tiny residue absorbed by now+delay == now
 // would otherwise livelock). The completion node gets a fresh sequence
-// number, preserving the event order of the cancel-and-repush protocol this
-// replaces.
+// number, so it orders among same-instant events as a newly scheduled one.
 func (l *Link) retarget(f *flow) {
 	delay := f.remaining / l.rate()
 	if delay < 0 {

@@ -102,18 +102,6 @@ func (s *Server) Acquire(c *Cont) bool {
 	return false
 }
 
-// TryAcquire takes a slot if one is immediately free and no continuation is
-// queued ahead; it reports whether the acquisition succeeded.
-func (s *Server) TryAcquire() bool {
-	if s.inUse < s.cap && s.qlen == 0 {
-		s.accumulate()
-		s.inUse++
-		s.acquired++
-		return true
-	}
-	return false
-}
-
 // Release frees one slot. If continuations are queued, the slot is handed
 // directly to the head of the queue (so capacity can never be stolen by a
 // later arrival) and that continuation resumes at the current instant.

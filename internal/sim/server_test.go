@@ -53,34 +53,9 @@ func TestServerCapacity(t *testing.T) {
 	}
 }
 
-func TestServerTryAcquire(t *testing.T) {
-	e := New()
-	s := NewServer(e, "gpu", 1)
-	got := []bool{}
-	try := do(func() { got = append(got, s.TryAcquire()) })
-	spawn(e, 0,
-		try, // true
-		try, // false: full
-		wait(1),
-		do(s.Release),
-		try, // true again
-		do(s.Release),
-	)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []bool{true, false, true}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("TryAcquire results = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestServerHandoffNoSteal(t *testing.T) {
 	// A Release with a waiter queued must hand the slot to the waiter even
-	// if another continuation calls TryAcquire at the same instant
-	// afterwards.
+	// if another continuation calls Acquire at the same instant afterwards.
 	e := New()
 	s := NewServer(e, "cpu", 1)
 	var winner string
@@ -91,13 +66,11 @@ func TestServerHandoffNoSteal(t *testing.T) {
 		}
 		s.Release()
 	}))
-	spawn(e, 0, wait(1), do(func() { // thief: arrives exactly when holder releases
-		if s.TryAcquire() {
-			if winner == "" {
-				winner = "thief"
-			}
-			s.Release()
+	spawn(e, 0, wait(1), acquire(s), do(func() { // thief: arrives exactly when holder releases
+		if winner == "" {
+			winner = "thief"
 		}
+		s.Release()
 	}))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -1,50 +1,26 @@
 package sim
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
-// TestPendingExcludesCancelled pins the Pending contract: cancelled events
-// leave the schedule immediately, so they are never counted.
-func TestPendingExcludesCancelled(t *testing.T) {
-	e := New()
-	a := e.Schedule(1.0, func() {})
-	e.Schedule(2.0, func() {})
-	e.Schedule(3.0, func() {})
-	if got := e.Pending(); got != 3 {
-		t.Fatalf("Pending() = %d, want 3", got)
-	}
-	a.Cancel()
-	if got := e.Pending(); got != 2 {
-		t.Fatalf("Pending() after Cancel = %d, want 2", got)
-	}
-	// Cancelling mid-run must drop the count the same way.
-	var midRun int
-	b := e.Schedule(2.5, func() {})
-	e.Schedule(2.0, func() {
-		b.Cancel()
-		midRun = e.Pending()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// At the t=2.0 callback: the 2.0 event itself already popped, b is
-	// cancelled, only the 3.0 event remains.
-	if midRun != 1 {
-		t.Fatalf("Pending() mid-run after Cancel = %d, want 1", midRun)
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() after Run = %d, want 0", e.Pending())
-	}
+// owned returns an owned node bound to fn: the kind of node fixNode
+// reschedules in place (in the cluster model, a Link's completion node).
+func owned(e *Engine, fn func()) *event {
+	return &event{fn: fn, eng: e, index: -1, role: roleLinkDone}
+}
+
+// at schedules an owned node bound to fn after delay seconds.
+func at(e *Engine, delay float64, fn func()) *event {
+	n := owned(e, fn)
+	e.schedNode(n, delay)
+	return n
 }
 
 func TestRescheduleEarlier(t *testing.T) {
 	e := New()
 	var order []string
-	ev := e.Schedule(5.0, func() { order = append(order, "moved") })
+	n := at(e, 5.0, func() { order = append(order, "moved") })
 	e.Schedule(2.0, func() { order = append(order, "fixed") })
-	e.Schedule(1.0, func() { e.Reschedule(ev, 0.5) }) // 5.0 -> 1.5
+	e.Schedule(1.0, func() { e.fixNode(n, 0.5) }) // 5.0 -> 1.5
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +35,9 @@ func TestRescheduleEarlier(t *testing.T) {
 func TestRescheduleLater(t *testing.T) {
 	e := New()
 	var order []string
-	ev := e.Schedule(1.5, func() { order = append(order, "moved") })
+	n := at(e, 1.5, func() { order = append(order, "moved") })
 	e.Schedule(2.0, func() { order = append(order, "fixed") })
-	e.Schedule(1.0, func() { e.Reschedule(ev, 4.0) }) // 1.5 -> 5.0
+	e.Schedule(1.0, func() { e.fixNode(n, 4.0) }) // 1.5 -> 5.0
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -75,14 +51,13 @@ func TestRescheduleLater(t *testing.T) {
 
 // TestRescheduleFreshSeq pins the determinism contract: a rescheduled event
 // gets a fresh sequence number, so among same-instant events it fires after
-// those already queued — exactly as if it had been cancelled and
-// re-scheduled.
+// those already queued, exactly as a newly scheduled one would.
 func TestRescheduleFreshSeq(t *testing.T) {
 	e := New()
 	var order []string
-	ev := e.Schedule(1.0, func() { order = append(order, "moved") })
+	n := at(e, 1.0, func() { order = append(order, "moved") })
 	e.Schedule(2.0, func() { order = append(order, "fixed") })
-	e.Schedule(0.5, func() { e.Reschedule(ev, 1.5) }) // 1.0 -> 2.0, same instant as "fixed"
+	e.Schedule(0.5, func() { e.fixNode(n, 1.5) }) // 1.0 -> 2.0, same instant as "fixed"
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -91,81 +66,22 @@ func TestRescheduleFreshSeq(t *testing.T) {
 	}
 }
 
+// TestRescheduleAt pins where an in-place reschedule leaves a heap node:
+// at the new instant, still pending, and fired there.
 func TestRescheduleAt(t *testing.T) {
 	e := New()
-	ev := e.Schedule(5.0, func() {})
-	if ev.At() != 5.0 {
-		t.Fatalf("At() = %v, want 5.0", ev.At())
+	fired := -1.0
+	n := at(e, 5.0, func() { fired = e.Now() })
+	e.fixNode(n, 2.5)
+	if n.at != 2.5 || n.index == -1 || e.Pending() != 1 {
+		t.Fatalf("after fixNode: at = %v, index = %d, Pending() = %d; want 2.5, on the heap, 1",
+			n.at, n.index, e.Pending())
 	}
-	e.Reschedule(ev, 2.5)
-	if ev.At() != 2.5 {
-		t.Fatalf("At() after Reschedule = %v, want 2.5", ev.At())
-	}
-	if !ev.Scheduled() {
-		t.Fatal("Scheduled() = false for pending event")
-	}
-	ev.Cancel()
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestRescheduleCompletedPanics(t *testing.T) {
-	// Rescheduling a fired event panics.
-	e := New()
-	ev := e.Schedule(1.0, func() {})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Reschedule of fired event did not panic")
-			}
-		}()
-		e.Reschedule(ev, 1.0)
-	}()
-	// Rescheduling a cancelled event panics too.
-	e2 := New()
-	ev2 := e2.Schedule(1.0, func() {})
-	ev2.Cancel()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Reschedule of cancelled event did not panic")
-			}
-		}()
-		e2.Reschedule(ev2, 1.0)
-	}()
-}
-
-// TestStaleHandleAfterRecycle pins the generation-stamp safety property:
-// once an event fires its node may be recycled for a later Schedule, and the
-// old handle must become inert rather than acting on the new event.
-func TestStaleHandleAfterRecycle(t *testing.T) {
-	e := New()
-	var stale Event
-	fired := false
-	stale = e.Schedule(1.0, func() {})
-	e.Schedule(2.0, func() {
-		// stale's node is free by now; this Schedule recycles it.
-		e.Schedule(1.0, func() { fired = true })
-		stale.Cancel() // must NOT cancel the recycled event
-		if stale.Canceled() {
-			t.Error("stale handle reports Canceled")
-		}
-		if stale.Scheduled() {
-			t.Error("stale handle reports Scheduled")
-		}
-		if !math.IsNaN(stale.At()) {
-			t.Errorf("stale At() = %v, want NaN", stale.At())
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !fired {
-		t.Fatal("recycled event was cancelled through a stale handle")
+	if fired != 2.5 {
+		t.Fatalf("fired at %v, want 2.5", fired)
 	}
 }
 
@@ -369,37 +285,23 @@ func TestZeroDelayRingOrder(t *testing.T) {
 	}
 }
 
-// TestZeroDelayRingCancelReschedule pins handle semantics for
-// ring-resident events: Cancel suppresses the fire and corrects Pending,
-// Reschedule moves the event out of (or back into) the ring with a fresh
-// seq, and the stale ring entries left behind are skipped silently.
-func TestZeroDelayRingCancelReschedule(t *testing.T) {
+// TestZeroDelayRingReschedule pins rescheduling out of the ring: an event
+// that starts on the ring at t=0 and is moved to t=2 (ring → heap) fires
+// after the t=1 heap event despite its earlier seq, the stale ring entry
+// left behind is skipped silently, and Pending never counts it.
+func TestZeroDelayRingReschedule(t *testing.T) {
 	e := New()
 	var got []string
 	log := func(s string) func() { return func() { got = append(got, s) } }
 
-	z := e.Schedule(0, log("Z"))
-	if !z.Scheduled() {
-		t.Fatal("ring event reports not scheduled")
-	}
-	if p := e.Pending(); p != 1 {
-		t.Fatalf("Pending = %d, want 1", p)
-	}
-	z.Cancel()
-	if z.Scheduled() || !z.Canceled() {
-		t.Fatal("cancelled ring event still reports scheduled")
-	}
-	if p := e.Pending(); p != 0 {
-		t.Fatalf("Pending after Cancel = %d, want 0", p)
-	}
-
-	// R starts on the ring at t=0, is rescheduled to t=2 (ring → heap),
-	// and must fire after the t=1 heap event despite its earlier seq.
-	r := e.Schedule(0, log("R"))
+	r := at(e, 0, log("R"))
 	e.Schedule(1, log("M"))
-	e.Reschedule(r, 2)
-	if !r.Scheduled() {
-		t.Fatal("rescheduled ring event reports not scheduled")
+	e.fixNode(r, 2)
+	if r.index == -1 {
+		t.Fatal("rescheduled ring event is off the schedule")
+	}
+	if p := e.Pending(); p != 2 {
+		t.Fatalf("Pending after reschedule = %d, want 2", p)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -419,9 +321,9 @@ func TestZeroDelayRingRescheduleToNow(t *testing.T) {
 	var got []string
 	log := func(s string) func() { return func() { got = append(got, s) } }
 
-	r := e.Schedule(0, log("R"))
+	r := at(e, 0, log("R"))
 	e.Schedule(0, log("A"))
-	e.Reschedule(r, 0) // R's seq now follows A's
+	e.fixNode(r, 0) // R's seq now follows A's
 	e.Schedule(0, log("B"))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

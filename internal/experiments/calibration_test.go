@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 
 	"wfsim/internal/dataset"
@@ -27,6 +28,35 @@ func mustRun(t *testing.T, id string) Result {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// fig9b is a wall-clock timing of real kernels: it runs once per test
+// binary, and every test that inspects it shares that one result.
+var fig9b struct {
+	once sync.Once
+	res  *Fig9bResult
+	err  error
+}
+
+func fig9bResult(t *testing.T) *Fig9bResult {
+	t.Helper()
+	fig9b.once.Do(func() {
+		e, err := ByID("fig9b")
+		if err != nil {
+			fig9b.err = err
+			return
+		}
+		res, err := e.Run(context.Background(), runner.New(0))
+		if err != nil {
+			fig9b.err = err
+			return
+		}
+		fig9b.res = res.(*Fig9bResult)
+	})
+	if fig9b.err != nil {
+		t.Fatal(fig9b.err)
+	}
+	return fig9b.res
 }
 
 func TestCalibrationFig1(t *testing.T) {
@@ -245,21 +275,11 @@ func TestCalibrationFig12FMA(t *testing.T) {
 	}
 }
 
-// TestCalibrationFig9bSkew runs fig9b, a wall-clock timing of real
-// kernels, once per test run: it checks both the calibration and the
-// rendered output (fig9b's render coverage lives here, not in
-// render_test.go, so the experiment is not timed twice).
 func TestCalibrationFig9bSkew(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-execution timing experiment")
 	}
-	r := mustRun(t, "fig9b").(*Fig9bResult)
-	assertContains(t, r.Render(),
-		"Figure 9b",
-		"0% skew", "50% skew",
-		"matmul", "kmeans",
-		"delta",
-	)
+	r := fig9bResult(t)
 	for _, p := range r.Points {
 		// Real kernels on uniform vs skewed data: the paper finds no
 		// effect. Wall-clock noise (this test shares the machine with the

@@ -70,6 +70,18 @@ func TestRenderFig9a(t *testing.T) {
 	)
 }
 
+func TestRenderFig9b(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real execution")
+	}
+	assertContains(t, fig9bResult(t).Render(),
+		"Figure 9b",
+		"0% skew", "50% skew",
+		"matmul", "kmeans",
+		"delta",
+	)
+}
+
 func TestRenderFig10(t *testing.T) {
 	out := renderOf(t, "fig10a")
 	assertContains(t, out,

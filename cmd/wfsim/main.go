@@ -4,7 +4,7 @@
 // Usage:
 //
 //	wfsim list                         list available experiments
-//	wfsim run [-j N] <id> [...]        run experiments by ID (fig1, fig7a, ... table1, all)
+//	wfsim run [-j N] <id> [...]        run experiments by ID (as wfsim list prints them, or all)
 //	wfsim dag <kmeans|matmul|fma> [-grid g] [-iters n]
 //	                                   emit the workload DAG as Graphviz DOT (Figure 6)
 //	wfsim sweep [-alg kmeans|matmul] [-dataset small|large|tiny]
@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -72,11 +73,10 @@ func simFlags(fs *flag.FlagSet) func(*runtime.SimConfig) {
 
 // faultSummary prints one line of failure-injection accounting when it is
 // enabled; silent otherwise so fault-free output stays byte-stable.
-func faultSummary(cfg runtime.SimConfig, res *runtime.SimResult) {
-	if !cfg.Faults.Enabled() {
+func faultSummary(cfg faults.Config, f runtime.FaultStats) {
+	if !cfg.Enabled() {
 		return
 	}
-	f := res.Faults
 	fmt.Fprintf(os.Stderr,
 		"faults: %d crashes, %d requeues, %d retries, %d blocks lost, %d recomputes, %d restages, wasted %.2fs, recovery %.2fs\n",
 		f.Crashes, f.CrashRequeues, f.Retries, f.BlocksLost,
@@ -85,7 +85,7 @@ func faultSummary(cfg runtime.SimConfig, res *runtime.SimResult) {
 
 func main() {
 	if len(os.Args) < 2 {
-		usage()
+		usage(os.Stderr)
 		os.Exit(2)
 	}
 	var err error
@@ -109,10 +109,10 @@ func main() {
 	case "serve":
 		err = cmdServe(os.Args[2:])
 	case "-h", "--help", "help":
-		usage()
+		usage(os.Stderr)
 	default:
 		fmt.Fprintf(os.Stderr, "wfsim: unknown command %q\n", os.Args[1])
-		usage()
+		usage(os.Stderr)
 		os.Exit(2)
 	}
 	if err != nil {
@@ -121,10 +121,17 @@ func main() {
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
+// usage prints the command summary, with the run ids read from the
+// experiment registry.
+func usage(w io.Writer) {
+	var ids []string
+	for _, e := range experiments.All() {
+		ids = append(ids, e.ID)
+	}
+	fmt.Fprintf(w, `usage:
   wfsim list                       list available experiments
-  wfsim run [-j N] <id>... | all   run experiments (fig1 fig7a fig7b fig8 fig9a fig9b fig10a fig10b fig11 fig12 table1)
+  wfsim run [-j N] <id>... | all   run experiments by id:
+                                   %s
                                    -j sets trial parallelism (0 = all CPUs); Ctrl-C cancels
   wfsim dag <kmeans|matmul|fma>    emit a workload DAG as Graphviz DOT
   wfsim sweep                      block-size sweep, CPU vs GPU
@@ -141,7 +148,8 @@ run accepts -cache DIR to persist trial results: a second identical run
 is served from the cache instead of re-simulated.
 
 trace, gantt and service accept -storage shared|local and deterministic failure
-injection: -fault-seed -fault-mtbf -fault-mttr -fault-p -fault-straggler-mtbf`)
+injection: -fault-seed -fault-mtbf -fault-mttr -fault-p -fault-straggler-mtbf
+`, strings.Join(ids, " "))
 }
 
 func cmdList() error {
@@ -451,7 +459,7 @@ func cmdGantt(args []string) error {
 	if err != nil {
 		return err
 	}
-	faultSummary(cfg, res)
+	faultSummary(cfg.Faults, res.Faults)
 	fmt.Printf("K-means 10 GB, grid %dx1, %s tasks — makespan %.2fs, core util %.0f%%, gpu util %.0f%%\n",
 		*grid, dev, res.Makespan, res.CoreUtilization*100, res.GPUUtilization*100)
 	return res.Collector.WriteGantt(os.Stdout, *width, *rows)
@@ -476,7 +484,7 @@ func cmdTrace(args []string) error {
 	if err != nil {
 		return err
 	}
-	faultSummary(cfg, res)
+	faultSummary(cfg.Faults, res.Faults)
 	w := os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -642,12 +650,6 @@ func cmdService(args []string) error {
 	fmt.Print(t.String())
 	fmt.Printf("\nhorizon %.2fs, core util %.0f%%, gpu util %.0f%%\n",
 		res.Horizon, res.CoreUtilization*100, res.GPUUtilization*100)
-	if cfg.Faults.Enabled() {
-		f := res.Faults
-		fmt.Fprintf(os.Stderr,
-			"faults: %d crashes, %d requeues, %d retries, %d blocks lost, %d recomputes, %d restages, wasted %.2fs, recovery %.2fs\n",
-			f.Crashes, f.CrashRequeues, f.Retries, f.BlocksLost,
-			f.LineageRecomputes, f.InputRestages, f.WastedWork, f.RecoveryWork)
-	}
+	faultSummary(cfg.Faults, res.Faults)
 	return nil
 }

@@ -4,8 +4,11 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"wfsim/internal/experiments"
 )
 
 // captureStdout runs fn with os.Stdout redirected to a pipe and returns
@@ -65,6 +68,19 @@ func TestCmdList(t *testing.T) {
 	for _, want := range []string{"fig1", "fig11", "table1", "ext1", "ext2"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("list output missing %q", want)
+		}
+	}
+}
+
+// TestUsageNamesEveryExperiment checks that the usage text lists every
+// registered run id, so the help cannot fall behind the registry.
+func TestUsageNamesEveryExperiment(t *testing.T) {
+	var b strings.Builder
+	usage(&b)
+	words := strings.Fields(b.String())
+	for _, e := range experiments.All() {
+		if !slices.Contains(words, e.ID) {
+			t.Errorf("usage does not name experiment %q:\n%s", e.ID, b.String())
 		}
 	}
 }

@@ -12,9 +12,11 @@
 //     dominates and GPUs lose (Figure 8 right).
 //
 // The resulting DAG is wide and shallow — high task-level parallelism
-// (Figure 6b). A second variant reproduces the COMPSs Fused-Multiply-Add
-// implementation (Figure 12): fma_func accumulates C[i,j] += A[i,k]·B[k,j]
-// in place, yielding g³ tasks in g sequential waves with no add tasks.
+// (Figure 6b). It is emitted by dsarray.Product, so the figures measure
+// the task graph a dsarray MatMul program gets. A second variant
+// reproduces the COMPSs Fused-Multiply-Add implementation (Figure 12):
+// fma_func accumulates C[i,j] += A[i,k]·B[k,j] in place, yielding g³
+// tasks in g sequential waves with no add tasks.
 package matmul
 
 import (
@@ -23,6 +25,7 @@ import (
 	"wfsim/internal/costmodel"
 	"wfsim/internal/dag"
 	"wfsim/internal/dataset"
+	"wfsim/internal/dsarray"
 	"wfsim/internal/runtime"
 )
 
@@ -62,26 +65,10 @@ type Config struct {
 
 // Profiles returns the analytic cost profiles for the two dislib task
 // types at block order n (square N×N blocks), matching §4.4.4:
-// matmul_func is O(N³), add_func is O(N).
+// matmul_func is O(N³), add_func is O(N²). They are the square case of
+// the dsarray formulas every dislib product shares.
 func Profiles(n int64) (mm, add costmodel.Profile) {
-	N := float64(n)
-	blockBytes := 8 * N * N
-	mm = costmodel.Profile{
-		Kernel:      costmodel.KernelMatmul,
-		SerialOps:   0, // fully parallel user code (§4.4.4)
-		ParallelOps: 2 * N * N * N,
-		Threads:     N * N,
-		BytesIn:     2 * blockBytes,
-		BytesOut:    blockBytes,
-		// "Matmul requires memory equal to three times the block size
-		// (each task has two block inputs and one block output)" — §5.3.
-		DeviceMemBytes: 3 * blockBytes,
-		HostMemBytes:   3 * blockBytes,
-	}
-	add = mm
-	add.Kernel = costmodel.KernelAdd
-	add.ParallelOps = N * N
-	return mm, add
+	return dsarray.MatmulProfile(n, n, n), dsarray.ElementwiseProfile(n, n, 2)
 }
 
 // FMAProfile returns the profile of the fused fma_func task at block
@@ -193,76 +180,34 @@ type inputs struct {
 func (in inputs) A(r, c int64) int32 { return in.a[r*in.g+c] }
 func (in inputs) B(r, c int64) int32 { return in.b[r*in.g+c] }
 
-// buildDislib emits g³ matmul_func tasks plus per-output binary add trees.
+// buildDislib emits the dislib product of every output block. Partial
+// products are the range P[r,c,0..g); inner sums are named S[r,c]rR.I
+// and the output C[r,c] is interned by the pair (or lone product) that
+// writes it.
 func buildDislib(wf *runtime.Workflow, part dataset.Partition, in inputs, real bool) {
-	g := part.GridRows
-	mmProf, addProf := Profiles(part.BlockRows)
-	blockBytes := float64(part.BlockRows * part.BlockCols * dataset.ElemSize)
-	name := wf.Graph.Data().Name
-	partials := make([]int32, 0, g)
-	var next []int32
+	g, n := part.GridRows, part.BlockRows
+	mm, _ := Profiles(n)
+	p := dsarray.NewProduct(wf, mm, real)
 	for r := int64(0); r < g; r++ {
 		for c := int64(0); c < g; c++ {
-			// Partial products: P[r,c,0..g), or C[r,c] itself when a
-			// single product is the output.
 			var products dag.Range
 			if g > 1 {
 				products = wf.Graph.Data().Range("P", g, r, c)
 			}
-			partials = partials[:0]
-			for k := int64(0); k < g; k++ {
-				var out int32
-				if g == 1 {
-					out = wf.Datum(KeyC(r, c))
-				} else {
-					out = products.ID(k)
-				}
-				wf.SetSizeByID(out, blockBytes)
-				spec := runtime.TaskSpec{Profile: mmProf}
-				if real {
-					a, b, outKey := keyA(r, k), keyB(k, c), name(out)
-					spec.Exec = func(s *runtime.Store) error {
-						return execMatmul(s, a, b, outKey)
+			p.Block(n, n, g,
+				func(k int64) (int32, int32) { return in.A(r, k), in.B(k, c) },
+				func(k int64) int32 {
+					if g == 1 {
+						return wf.Datum(KeyC(r, c))
 					}
-				}
-				wf.AddTask("matmul_func", spec,
-					dag.Param{Data: in.A(r, k), Dir: dag.In},
-					dag.Param{Data: in.B(k, c), Dir: dag.In},
-					dag.Param{Data: out, Dir: dag.Out})
-				partials = append(partials, out)
-			}
-			// Binary reduction tree over the g partials.
-			round := 0
-			for len(partials) > 1 {
-				next = next[:0]
-				for i := 0; i < len(partials); i += 2 {
-					if i+1 == len(partials) {
-						next = append(next, partials[i])
-						continue
+					return products.ID(k)
+				},
+				func(round, i int, last bool) int32 {
+					if last {
+						return wf.Datum(KeyC(r, c))
 					}
-					var out int32
-					if len(partials) == 2 {
-						out = wf.Datum(KeyC(r, c))
-					} else {
-						out = wf.Datum(fmt.Sprintf("S[%d,%d]r%d.%d", r, c, round, i/2))
-					}
-					wf.SetSizeByID(out, blockBytes)
-					spec := runtime.TaskSpec{Profile: addProf}
-					if real {
-						x, y, outKey := name(partials[i]), name(partials[i+1]), name(out)
-						spec.Exec = func(s *runtime.Store) error {
-							return execAdd(s, x, y, outKey)
-						}
-					}
-					wf.AddTask("add_func", spec,
-						dag.Param{Data: partials[i], Dir: dag.In},
-						dag.Param{Data: partials[i+1], Dir: dag.In},
-						dag.Param{Data: out, Dir: dag.Out})
-					next = append(next, out)
-				}
-				partials, next = next, partials
-				round++
-			}
+					return wf.Datum(fmt.Sprintf("S[%d,%d]r%d.%d", r, c, round, i))
+				})
 		}
 	}
 }
@@ -309,56 +254,13 @@ func buildFMA(wf *runtime.Workflow, part dataset.Partition, in inputs, real bool
 	}
 }
 
-// execMatmul computes out = a × b with a cache-friendly ikj loop.
-func execMatmul(s *runtime.Store, aKey, bKey, outKey string) error {
-	a, b := s.MustGet(aKey), s.MustGet(bKey)
-	if a.Cols != b.Rows {
-		return fmt.Errorf("matmul: inner dims %d vs %d", a.Cols, b.Rows)
-	}
-	out := dataset.NewBlock(dataset.BlockID{}, a.Rows, b.Cols)
-	mulInto(out, a, b)
-	s.Put(outKey, out)
-	return nil
-}
-
 // execFMA computes out += a × b in place.
 func execFMA(s *runtime.Store, aKey, bKey, outKey string) error {
 	a, b, out := s.MustGet(aKey), s.MustGet(bKey), s.MustGet(outKey)
 	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
 		return fmt.Errorf("fma: shape mismatch")
 	}
-	mulInto(out, a, b)
-	return nil
-}
-
-// mulInto accumulates a×b into out.
-func mulInto(out, a, b *dataset.Block) {
-	for i := int64(0); i < a.Rows; i++ {
-		for k := int64(0); k < a.Cols; k++ {
-			aik := a.At(i, k)
-			if aik == 0 {
-				continue
-			}
-			outRow := out.Data[i*out.Cols : (i+1)*out.Cols]
-			bRow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j := range bRow {
-				outRow[j] += aik * bRow[j]
-			}
-		}
-	}
-}
-
-// execAdd computes out = x + y elementwise.
-func execAdd(s *runtime.Store, xKey, yKey, outKey string) error {
-	x, y := s.MustGet(xKey), s.MustGet(yKey)
-	if x.Rows != y.Rows || x.Cols != y.Cols {
-		return fmt.Errorf("add: shape mismatch %dx%d vs %dx%d", x.Rows, x.Cols, y.Rows, y.Cols)
-	}
-	out := dataset.NewBlock(dataset.BlockID{}, x.Rows, x.Cols)
-	for i := range out.Data {
-		out.Data[i] = x.Data[i] + y.Data[i]
-	}
-	s.Put(outKey, out)
+	dsarray.MulInto(out, a, b)
 	return nil
 }
 
@@ -385,7 +287,7 @@ func Reference(wf *runtime.Workflow, store *runtime.Store, cfg Config) error {
 			for k := int64(0); k < g; k++ {
 				a := store.MustGet(keyA(r, k))
 				b := store.MustGet(keyB(k, c))
-				mulInto(want, a, b)
+				dsarray.MulInto(want, a, b)
 			}
 			got := store.MustGet(KeyC(r, c))
 			if got.Rows != want.Rows || got.Cols != want.Cols {

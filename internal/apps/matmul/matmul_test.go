@@ -1,10 +1,12 @@
 package matmul
 
 import (
+	"slices"
 	"testing"
 
 	"wfsim/internal/costmodel"
 	"wfsim/internal/dataset"
+	"wfsim/internal/dsarray"
 	"wfsim/internal/runtime"
 )
 
@@ -31,6 +33,51 @@ func TestDAGShapeDislib(t *testing.T) {
 	}
 	if err := wf.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMatchesDsarrayMatMul pins the single dislib product: the Matmul
+// workload and a dsarray MatMul program over the same square grid emit
+// the same tasks in the same order, with the same dependencies, profiles
+// and written-datum sizes.
+func TestMatchesDsarrayMatMul(t *testing.T) {
+	ds := dataset.Dataset{Name: "sq", Rows: 4800, Cols: 4800}
+	for _, g := range []int64{3, 4} {
+		wf, err := Build(Config{Dataset: ds, Grid: g})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := dsarray.New("mm", false)
+		a, err := ctx.Random(ds, g, g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ctx.Random(ds, g, g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.MatMul(b); err != nil {
+			t.Fatal(err)
+		}
+		want, got := wf.Graph, ctx.Workflow().Graph
+		if want.Len() != got.Len() {
+			t.Fatalf("g=%d: %d tasks, dsarray %d", g, want.Len(), got.Len())
+		}
+		for id := 0; id < want.Len(); id++ {
+			if want.Name(id) != got.Name(id) {
+				t.Fatalf("g=%d task %d: %s, dsarray %s", g, id, want.Name(id), got.Name(id))
+			}
+			if wd, gd := want.Deps(id), got.Deps(id); !slices.Equal(wd, gd) {
+				t.Fatalf("g=%d task %d deps %v, dsarray %v", g, id, wd, gd)
+			}
+			if wp, gp := wf.SpecByID(id).Profile, ctx.Workflow().SpecByID(id).Profile; wp != gp {
+				t.Fatalf("g=%d task %d %s profile %+v, dsarray %+v", g, id, want.Name(id), wp, gp)
+			}
+			wOut, gOut := want.DataIDs(id)[2], got.DataIDs(id)[2]
+			if ws, gs := wf.SizeByID(wOut), ctx.Workflow().SizeByID(gOut); ws != gs {
+				t.Fatalf("g=%d task %d writes %v bytes, dsarray %v", g, id, ws, gs)
+			}
+		}
 	}
 }
 

@@ -11,9 +11,7 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"wfsim/internal/costmodel"
 	"wfsim/internal/sim"
@@ -52,22 +50,6 @@ func (s Spec) TotalGPUs() int { return s.Nodes * s.GPUsPerNode }
 // nodes, 16 cores + 4 GPUs each.
 func Minotauro() Spec {
 	return Spec{Name: "minotauro", Nodes: 8, CoresPerNode: 16, GPUsPerNode: 4}
-}
-
-// LoadSpec reads a Spec from a JSON file, for user-defined topologies.
-func LoadSpec(path string) (Spec, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return Spec{}, fmt.Errorf("cluster: %w", err)
-	}
-	var s Spec
-	if err := json.Unmarshal(b, &s); err != nil {
-		return Spec{}, fmt.Errorf("cluster: parsing %s: %w", path, err)
-	}
-	if err := s.Validate(); err != nil {
-		return Spec{}, err
-	}
-	return s, nil
 }
 
 // Node is one compute node's simulated resources.

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"wfsim/internal/costmodel"
@@ -70,33 +68,5 @@ func TestBuildZeroGPUNode(t *testing.T) {
 func TestBuildInvalidSpec(t *testing.T) {
 	if _, err := Build(sim.New(), Spec{Nodes: 0}, costmodel.DefaultParams()); err == nil {
 		t.Fatal("invalid spec accepted")
-	}
-}
-
-func TestLoadSpec(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "spec.json")
-	if err := os.WriteFile(path, []byte(`{"name":"test","nodes":4,"cores_per_node":8,"gpus_per_node":2}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := LoadSpec(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.TotalCores() != 32 || s.TotalGPUs() != 8 {
-		t.Fatalf("loaded spec = %+v", s)
-	}
-	if _, err := LoadSpec(filepath.Join(dir, "missing.json")); err == nil {
-		t.Fatal("missing file accepted")
-	}
-	bad := filepath.Join(dir, "bad.json")
-	os.WriteFile(bad, []byte(`{"nodes": -1}`), 0o644)
-	if _, err := LoadSpec(bad); err == nil {
-		t.Fatal("invalid spec accepted")
-	}
-	notJSON := filepath.Join(dir, "notjson.json")
-	os.WriteFile(notJSON, []byte(`{{`), 0o644)
-	if _, err := LoadSpec(notJSON); err == nil {
-		t.Fatal("malformed JSON accepted")
 	}
 }

@@ -25,11 +25,6 @@ func NewBlock(id BlockID, rows, cols int64) *Block {
 	return &Block{ID: id, Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// NewLazyBlock creates a metadata-only block.
-func NewLazyBlock(id BlockID, rows, cols int64) *Block {
-	return &Block{ID: id, Rows: rows, Cols: cols}
-}
-
 // Materialized reports whether the block carries data.
 func (b *Block) Materialized() bool { return b.Data != nil }
 

@@ -279,7 +279,7 @@ func TestBlockHelpers(t *testing.T) {
 	if b.At(2, 3) != 7.5 {
 		t.Fatal("Clone not deep")
 	}
-	lz := NewLazyBlock(BlockID{1, 1}, 10, 10)
+	lz := &Block{ID: BlockID{Row: 1, Col: 1}, Rows: 10, Cols: 10}
 	if lz.Materialized() {
 		t.Fatal("lazy block claims materialized")
 	}

@@ -127,23 +127,6 @@ func (c *Context) Random(d dataset.Dataset, k, l int64, gen *dataset.Generator) 
 	return a, nil
 }
 
-// elementwiseProfile is the bandwidth-bound O(elements) profile shared by
-// Add/Scale/Transpose — the add_func class of the paper's Figure 8.
-func elementwiseProfile(rows, cols int64, inputs int) costmodel.Profile {
-	n := float64(rows * cols)
-	bytes := n * dataset.ElemSize
-	return costmodel.Profile{
-		Kernel:      costmodel.KernelAdd,
-		ParallelOps: n,
-		Threads:     n,
-		BytesIn:     float64(inputs) * bytes,
-		BytesOut:    bytes,
-		// inputs + output resident on device.
-		DeviceMemBytes: float64(inputs+1) * bytes,
-		HostMemBytes:   float64(inputs+1) * bytes,
-	}
-}
-
 func sameShape(a, b *Array) error {
 	if a.part.GridRows != b.part.GridRows || a.part.GridCols != b.part.GridCols ||
 		a.part.Rows != b.part.Rows || a.part.Cols != b.part.Cols {
@@ -169,23 +152,8 @@ func (a *Array) Add(b *Array) (*Array, error) {
 			if err != nil {
 				return nil, err
 			}
-			spec := runtime.TaskSpec{Profile: elementwiseProfile(rows, cols, 2)}
-			if a.ctx.materialize {
-				x, y, o := a.Key(r, col), b.Key(r, col), out.Key(r, col)
-				spec.Exec = func(s *runtime.Store) error {
-					bx, by := s.MustGet(x), s.MustGet(y)
-					bo := dataset.NewBlock(dataset.BlockID{}, bx.Rows, bx.Cols)
-					for i := range bo.Data {
-						bo.Data[i] = bx.Data[i] + by.Data[i]
-					}
-					s.Put(o, bo)
-					return nil
-				}
-			}
-			a.ctx.wf.AddTask("add_func", spec,
-				dag.Param{Data: a.blocks.At(r, col), Dir: dag.In},
-				dag.Param{Data: b.blocks.At(r, col), Dir: dag.In},
-				dag.Param{Data: out.blocks.At(r, col), Dir: dag.Out})
+			binaryTask(a.ctx.wf, a.ctx.materialize, "add_func", ElementwiseProfile(rows, cols, 2), execAdd,
+				a.blocks.At(r, col), b.blocks.At(r, col), out.blocks.At(r, col))
 		}
 	}
 	return out, nil
@@ -203,7 +171,7 @@ func (a *Array) Scale(f float64) (*Array, error) {
 			if err != nil {
 				return nil, err
 			}
-			spec := runtime.TaskSpec{Profile: elementwiseProfile(rows, cols, 1)}
+			spec := runtime.TaskSpec{Profile: ElementwiseProfile(rows, cols, 1)}
 			if a.ctx.materialize {
 				x, o, factor := a.Key(r, col), out.Key(r, col), f
 				spec.Exec = func(s *runtime.Store) error {
@@ -243,7 +211,7 @@ func (a *Array) Transpose() (*Array, error) {
 			if err != nil {
 				return nil, err
 			}
-			spec := runtime.TaskSpec{Profile: elementwiseProfile(rows, cols, 1)}
+			spec := runtime.TaskSpec{Profile: ElementwiseProfile(rows, cols, 1)}
 			if a.ctx.materialize {
 				src, dst := a.Key(col, r), out.Key(r, col)
 				spec.Exec = func(s *runtime.Store) error {
@@ -268,7 +236,9 @@ func (a *Array) Transpose() (*Array, error) {
 
 // MatMul returns a × b using the dislib scheme: one O(N³) matmul_func per
 // (i, j, k) block triple plus a binary add_func reduction tree per output
-// block — the exact task structure of the paper's Figure 6b.
+// block — the exact task structure of the paper's Figure 6b, emitted by
+// Product like the Matmul workload's. Partials are named p#n, inner
+// sums s#n.
 func (a *Array) MatMul(b *Array) (*Array, error) {
 	if a.part.Cols != b.part.Rows || a.part.GridCols != b.part.GridRows {
 		return nil, fmt.Errorf("dsarray: matmul inner dims %d/%d vs %d/%d",
@@ -280,115 +250,37 @@ func (a *Array) MatMul(b *Array) (*Array, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := a.ctx.newArray(outPart, "mm")
+	c := a.ctx
+	out, err := c.newArray(outPart, "mm")
 	if err != nil {
 		return nil, err
 	}
 	inner := a.part.GridCols
+	p := NewProduct(c.wf, MatmulProfile(a.part.BlockRows, a.part.BlockCols, b.part.BlockCols), c.materialize)
 	for r := int64(0); r < outPart.GridRows; r++ {
 		for col := int64(0); col < outPart.GridCols; col++ {
-			partials := make([]int32, 0, inner)
-			for k := int64(0); k < inner; k++ {
-				p := out.blocks.At(r, col)
-				if inner > 1 {
-					p = a.ctx.wf.Datum(a.ctx.fresh("p"))
-					rows, cols, err := outPart.BlockShape(r, col)
-					if err != nil {
-						return nil, err
-					}
-					a.ctx.wf.SetSizeByID(p, float64(rows*cols*dataset.ElemSize))
-				}
-				n := a.part.BlockRows // block order for the profile
-				prof := costmodel.Profile{
-					Kernel:         costmodel.KernelMatmul,
-					ParallelOps:    2 * float64(n) * float64(a.part.BlockCols) * float64(b.part.BlockCols),
-					Threads:        float64(n) * float64(b.part.BlockCols),
-					BytesIn:        float64((a.part.BlockRows*a.part.BlockCols + b.part.BlockRows*b.part.BlockCols) * dataset.ElemSize),
-					BytesOut:       float64(n * b.part.BlockCols * dataset.ElemSize),
-					DeviceMemBytes: 3 * float64(n*b.part.BlockCols*dataset.ElemSize),
-					HostMemBytes:   3 * float64(n*b.part.BlockCols*dataset.ElemSize),
-				}
-				spec := runtime.TaskSpec{Profile: prof}
-				if a.ctx.materialize {
-					x, y, o := a.Key(r, k), b.Key(k, col), a.ctx.name(p)
-					spec.Exec = func(s *runtime.Store) error {
-						bx, by := s.MustGet(x), s.MustGet(y)
-						if bx.Cols != by.Rows {
-							return fmt.Errorf("dsarray: block inner dims %d vs %d", bx.Cols, by.Rows)
-						}
-						bo := dataset.NewBlock(dataset.BlockID{}, bx.Rows, by.Cols)
-						for i := int64(0); i < bx.Rows; i++ {
-							for kk := int64(0); kk < bx.Cols; kk++ {
-								v := bx.At(i, kk)
-								if v == 0 {
-									continue
-								}
-								for j := int64(0); j < by.Cols; j++ {
-									bo.Set(i, j, bo.At(i, j)+v*by.At(kk, j))
-								}
-							}
-						}
-						s.Put(o, bo)
-						return nil
-					}
-				}
-				a.ctx.wf.AddTask("matmul_func", spec,
-					dag.Param{Data: a.blocks.At(r, k), Dir: dag.In},
-					dag.Param{Data: b.blocks.At(k, col), Dir: dag.In},
-					dag.Param{Data: p, Dir: dag.Out})
-				partials = append(partials, p)
-			}
-			if err := a.ctx.reduceInto(partials, out.blocks.At(r, col), outPart, r, col); err != nil {
+			rows, cols, err := outPart.BlockShape(r, col)
+			if err != nil {
 				return nil, err
 			}
+			dst := out.blocks.At(r, col)
+			p.Block(rows, cols, inner,
+				func(k int64) (int32, int32) { return a.blocks.At(r, k), b.blocks.At(k, col) },
+				func(int64) int32 {
+					if inner == 1 {
+						return dst
+					}
+					return c.wf.Datum(c.fresh("p"))
+				},
+				func(_, _ int, last bool) int32 {
+					if last {
+						return dst
+					}
+					return c.wf.Datum(c.fresh("s"))
+				})
 		}
 	}
 	return out, nil
-}
-
-// reduceInto emits a binary add_func tree combining partials into dst.
-func (c *Context) reduceInto(partials []int32, dst int32, part dataset.Partition, r, col int64) error {
-	if len(partials) <= 1 {
-		return nil // single partial already written to dst
-	}
-	rows, cols, err := part.BlockShape(r, col)
-	if err != nil {
-		return err
-	}
-	for len(partials) > 1 {
-		var next []int32
-		for i := 0; i < len(partials); i += 2 {
-			if i+1 == len(partials) {
-				next = append(next, partials[i])
-				continue
-			}
-			o := dst
-			if len(partials) > 2 {
-				o = c.wf.Datum(c.fresh("s"))
-				c.wf.SetSizeByID(o, float64(rows*cols*dataset.ElemSize))
-			}
-			spec := runtime.TaskSpec{Profile: elementwiseProfile(rows, cols, 2)}
-			if c.materialize {
-				x, y, oKey := c.name(partials[i]), c.name(partials[i+1]), c.name(o)
-				spec.Exec = func(s *runtime.Store) error {
-					bx, by := s.MustGet(x), s.MustGet(y)
-					bo := dataset.NewBlock(dataset.BlockID{}, bx.Rows, bx.Cols)
-					for j := range bo.Data {
-						bo.Data[j] = bx.Data[j] + by.Data[j]
-					}
-					s.Put(oKey, bo)
-					return nil
-				}
-			}
-			c.wf.AddTask("add_func", spec,
-				dag.Param{Data: partials[i], Dir: dag.In},
-				dag.Param{Data: partials[i+1], Dir: dag.In},
-				dag.Param{Data: o, Dir: dag.Out})
-			next = append(next, o)
-		}
-		partials = next
-	}
-	return nil
 }
 
 // Sum reduces the whole array to a scalar (stored under the returned key):
@@ -403,7 +295,7 @@ func (a *Array) Sum() (string, error) {
 			}
 			p := a.ctx.wf.Datum(a.ctx.fresh("psum"))
 			a.ctx.wf.SetSizeByID(p, dataset.ElemSize)
-			prof := elementwiseProfile(rows, cols, 1)
+			prof := ElementwiseProfile(rows, cols, 1)
 			prof.BytesOut = dataset.ElemSize
 			spec := runtime.TaskSpec{Profile: prof}
 			if a.ctx.materialize {

@@ -77,54 +77,48 @@ func runExt1(ctx context.Context, eng *runner.Engine) (Result, error) {
 			cell: CellConfig{Algorithm: Matmul, Dataset: dataset.MatmulSmall, Grid: 2},
 		},
 	}
-	// Each spectrum point's simulated speedup is one self-contained
-	// trial closure; the analytic breakdown is computed inline (cheap).
-	trials := make([]runner.Trial, len(specs))
-	for i, s := range specs {
-		cell := s.cell
-		if cell.Dataset.Rows > 0 {
-			trials[i] = runner.Trial{
-				ID:    "ext1:" + s.name,
-				Key:   resultcache.KeyOf("ext1pair", cell).Hex(),
-				Codec: runner.JSONCodec[float64](),
-				Run: func(context.Context) (any, error) {
-					cpu, gpu, err := RunPair(cell)
-					if err != nil {
-						return nil, err
-					}
-					if cpu.OOM || gpu.OOM {
-						return 0.0, nil
-					}
-					return Speedup(cpu.UserMean, gpu.UserMean), nil
-				},
-			}
-		} else {
-			// linreg: simulate directly (not a Cell algorithm). The config
-			// is pinned inside linregSimSpeedup; the key names it exactly.
-			trials[i] = runner.Trial{
-				ID:    "ext1:" + s.name,
-				Key:   resultcache.KeyOf("ext1linreg", dataset.KMeansSmall, int64(256), 2).Hex(),
-				Codec: runner.JSONCodec[float64](),
-				Run: func(context.Context) (any, error) {
-					return linregSimSpeedup()
-				},
-			}
+	// The cell-backed points run through the one cell path, so their
+	// cells are shared with every other experiment simulating the same
+	// config; linreg is not a Cell algorithm and keeps one keyed trial.
+	var cfgs []CellConfig
+	for _, s := range specs {
+		if s.cell.Dataset.Rows > 0 {
+			cfgs = append(cfgs, s.cell)
 		}
 	}
-	rep, err := eng.Run(ctx, trials)
+	pairs, err := RunPairs(ctx, eng, "ext1", cfgs)
+	if err != nil {
+		return nil, err
+	}
+	// The config is pinned inside linregSimSpeedup; the key names it exactly.
+	rep, err := eng.Run(ctx, []runner.Trial{{
+		ID:    "ext1:linreg",
+		Key:   resultcache.KeyOf("ext1linreg", dataset.KMeansSmall, int64(256), 2).Hex(),
+		Codec: runner.JSONCodec[float64](),
+		Run:   func(context.Context) (any, error) { return linregSimSpeedup() },
+	}})
 	if err != nil {
 		return nil, err
 	}
 
 	r := &Ext1Result{}
-	for i, s := range specs {
+	for _, s := range specs {
+		sim := rep.Outcomes[0].Value.(float64) // linreg's
+		if s.cell.Dataset.Rows > 0 {
+			p := pairs[0]
+			pairs = pairs[1:]
+			sim = 0
+			if !p.CPU.OOM && !p.GPU.OOM {
+				sim = Speedup(p.CPU.UserMean, p.GPU.UserMean)
+			}
+		}
 		b := model.Breakdown(params, s.prof)
 		r.Points = append(r.Points, Ext1Point{
 			Name:             s.name,
 			ParallelFraction: b.ParallelFraction,
 			UserSpeedup:      b.UserCodeSpeedup,
 			AmdahlLimit:      b.AmdahlLimit,
-			SimSpeedup:       rep.Outcomes[i].Value.(float64),
+			SimSpeedup:       sim,
 		})
 	}
 	return r, nil

@@ -105,31 +105,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// CheckRanges rejects structurally invalid values even on a disabled
-// config. Enabled treats only strictly positive rates as active, so a
-// negative MTBF or failure probability used to silently disable injection
-// — a config typo the caller almost certainly wants surfaced. Unlike
-// Validate it accepts unset (zero) tuning knobs: WithDefaults has not run
-// yet.
-func (c Config) CheckRanges() error {
-	if c.NodeMTBF < 0 || c.NodeMTTR < 0 || c.StragglerMTBF < 0 || c.StragglerDuration < 0 {
-		return fmt.Errorf("faults: negative time constant in %+v", c)
-	}
-	if c.TaskFailProb < 0 || c.TaskFailProb >= 1 {
-		return fmt.Errorf("faults: TaskFailProb %v outside [0, 1)", c.TaskFailProb)
-	}
-	if c.MaxAttempts < 0 {
-		return fmt.Errorf("faults: negative MaxAttempts %d", c.MaxAttempts)
-	}
-	if c.RetryBackoff < 0 {
-		return fmt.Errorf("faults: negative RetryBackoff %v", c.RetryBackoff)
-	}
-	if c.StragglerFactor < 0 || c.StragglerFactor > 1 {
-		return fmt.Errorf("faults: StragglerFactor %v outside [0, 1]", c.StragglerFactor)
-	}
-	return nil
-}
-
 // Backoff returns the re-queue delay after the n-th transient failure of a
 // task (n ≥ 1): RetryBackoff doubling per failure.
 func (c Config) Backoff(n int) float64 {
@@ -159,7 +134,6 @@ type Injector struct {
 	slow    []float64
 	upCount int
 
-	crashes  int
 	episodes int
 
 	// OnCrash and OnRepair fire engine-side at the crash/repair instant,
@@ -189,9 +163,6 @@ func NewInjector(eng *sim.Engine, cfg Config, n int) *Injector {
 	return inj
 }
 
-// Config returns the injector's configuration.
-func (i *Injector) Config() Config { return i.cfg }
-
 // Start schedules the first crash and straggler episode of every node.
 // The cycles never end on their own: the run ends them by stopping the
 // engine (sim.Engine.Stop) once its work is done.
@@ -215,7 +186,6 @@ func (i *Injector) crash(n int) {
 	i.up[n] = false
 	i.upCount--
 	i.epoch[n]++
-	i.crashes++
 	if i.OnCrash != nil {
 		i.OnCrash(n)
 	}
@@ -253,9 +223,6 @@ func (i *Injector) slowEnd(n int) {
 // reference: the scheduler always sees the current instant's state.
 func (i *Injector) UpNodes() []bool { return i.up }
 
-// Up reports whether node n is currently up.
-func (i *Injector) Up(n int) bool { return i.up[n] }
-
 // AnyUp reports whether at least one node is up.
 func (i *Injector) AnyUp() bool { return i.upCount > 0 }
 
@@ -280,9 +247,6 @@ func (i *Injector) AttemptFails() (bool, float64) {
 	}
 	return true, i.taskRng.Float64()
 }
-
-// Crashes returns the number of node crashes injected so far.
-func (i *Injector) Crashes() int { return i.crashes }
 
 // Episodes returns the number of straggler episodes started so far.
 func (i *Injector) Episodes() int { return i.episodes }

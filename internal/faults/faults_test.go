@@ -107,15 +107,16 @@ func TestCrashFlipsStateAndEpoch(t *testing.T) {
 	eng := sim.New()
 	inj := NewInjector(eng, Config{Seed: 1, NodeMTBF: 1.0, NodeMTTR: 0.2}.WithDefaults(), 2)
 	for n := 0; n < 2; n++ {
-		if !inj.Up(n) || inj.Epoch(n) != 0 || inj.Speed(n) != 1 {
+		if !inj.UpNodes()[n] || inj.Epoch(n) != 0 || inj.Speed(n) != 1 {
 			t.Fatal("fresh injector not nominal")
 		}
 	}
-	crashed, repaired := -1, -1
+	crashed, repaired, crashes := -1, -1, 0
 	inj.OnCrash = func(n int) {
+		crashes++
 		if crashed < 0 {
 			crashed = n
-			if inj.Up(n) {
+			if inj.UpNodes()[n] {
 				t.Error("node still up inside OnCrash")
 			}
 			if inj.Epoch(n) != 1 {
@@ -129,7 +130,7 @@ func TestCrashFlipsStateAndEpoch(t *testing.T) {
 	inj.OnRepair = func(n int) {
 		if repaired < 0 {
 			repaired = n
-			if !inj.Up(n) {
+			if !inj.UpNodes()[n] {
 				t.Error("node still down inside OnRepair")
 			}
 		}
@@ -142,14 +143,11 @@ func TestCrashFlipsStateAndEpoch(t *testing.T) {
 	if crashed < 0 || repaired < 0 {
 		t.Fatal("no crash/repair cycle observed in 20 virtual seconds")
 	}
-	if inj.Crashes() == 0 {
-		t.Fatal("crash counter stayed zero")
-	}
 	for n := 0; n < 2; n++ {
-		if uint64(0) == inj.Epoch(n) && inj.Crashes() >= 4 {
+		if uint64(0) == inj.Epoch(n) && crashes >= 4 {
 			// With several crashes across 2 nodes both epochs very likely
 			// moved; tolerate a lopsided draw but flag the common case.
-			t.Logf("node %d never crashed (%d total crashes)", n, inj.Crashes())
+			t.Logf("node %d never crashed (%d total crashes)", n, crashes)
 		}
 	}
 }

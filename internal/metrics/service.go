@@ -68,9 +68,6 @@ func NewServiceStats(n int) *ServiceStats {
 	return s
 }
 
-// NumTenants returns the tenant count.
-func (s *ServiceStats) NumTenants() int { return len(s.tenants) }
-
 // Tenant returns tenant i's stream.
 func (s *ServiceStats) Tenant(i int) *TenantStream { return s.tenants[i] }
 

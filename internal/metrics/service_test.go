@@ -36,8 +36,8 @@ func TestServiceStatsObserveWorkflow(t *testing.T) {
 	if other := s.Tenant(0); other.Workflows != 0 || !math.IsNaN(other.ResponseSummary().P99) {
 		t.Errorf("tenant 0 polluted: %+v", other.ResponseSummary())
 	}
-	if s.NumTenants() != 2 {
-		t.Errorf("NumTenants = %d", s.NumTenants())
+	if len(s.tenants) != 2 {
+		t.Errorf("%d tenants, want 2", len(s.tenants))
 	}
 }
 

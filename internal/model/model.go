@@ -208,19 +208,6 @@ func (a *Advisor) Recommend(prof costmodel.Profile, nTasks int) Recommendation {
 	return r
 }
 
-// MaxGPUBlockElements solves the GPU OOM boundary for a memory model of
-// the form mem(x) = base + perElem·x ≤ GPUMemBytes, returning the largest
-// admissible x (e.g. block elements). Returns 0 when even base overflows.
-func MaxGPUBlockElements(p costmodel.Params, base, perElem float64) float64 {
-	if perElem <= 0 || base >= p.GPUMemBytes {
-		if base >= p.GPUMemBytes {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return (p.GPUMemBytes - base) / perElem
-}
-
 // WorkflowBounds are Graham bounds for a whole DAG-structured workflow on
 // P homogeneous slots: Lower = max(work/P, critical path), Upper = work/P +
 // critical path (any greedy list schedule). Contention on storage and

@@ -186,29 +186,6 @@ func TestAdvisorPrefersGPUForCompute(t *testing.T) {
 	}
 }
 
-func TestMaxGPUBlockElements(t *testing.T) {
-	p := costmodel.DefaultParams()
-	// Matmul memory model: 3 blocks of 8 bytes/element ⇒ max elements =
-	// 12 GB / 24.
-	max := MaxGPUBlockElements(p, 0, 24)
-	if math.Abs(max-p.GPUMemBytes/24) > 1 {
-		t.Fatalf("max = %v", max)
-	}
-	// The paper's boundary: a 2 GB block (N=16384) fits, an 8 GB does not.
-	if 16384.0*16384 > max {
-		t.Error("2 GB matmul block should fit")
-	}
-	if 32768.0*32768 < max {
-		t.Error("8 GB matmul block should not fit")
-	}
-	if MaxGPUBlockElements(p, 13e9, 24) != 0 {
-		t.Error("overflowing base should return 0")
-	}
-	if !math.IsInf(MaxGPUBlockElements(p, 1e9, 0), 1) {
-		t.Error("zero per-element cost should be unbounded")
-	}
-}
-
 func TestIOFloor(t *testing.T) {
 	if IOFloor(1e9, 1e9) != 1 {
 		t.Fatal("floor math broken")

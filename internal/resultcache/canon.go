@@ -39,7 +39,7 @@ type Key [sha256.Size]byte
 func (k Key) Hex() string { return hex.EncodeToString(k[:]) }
 
 // KeyOf canonically serializes (SchemaVersion, kind, parts...) and hashes
-// it. kind namespaces key families ("cell", "ext1pair", ...) so two
+// it. kind namespaces key families ("cell", "ext1linreg", ...) so two
 // different trial shapes can never collide even if their configs encode
 // identically.
 func KeyOf(kind string, parts ...any) Key {

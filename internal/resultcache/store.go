@@ -83,9 +83,6 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // loadIndex reads the index, falling back to a blob-directory scan when
 // the index is missing or unreadable (the blobs are the ground truth; the
 // index only accelerates startup and remembers recency).

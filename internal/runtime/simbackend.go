@@ -73,9 +73,10 @@ func (c SimConfig) withDefaults() SimConfig {
 // Validate rejects structurally invalid configurations with an error
 // instead of silently patching them. The zero cluster spec is legal (it
 // means "use the default topology"), but a partially-filled spec with
-// non-positive node or core counts is an error, as are negative fault
-// rates — a disabled-but-negative fault config used to be silently
-// ignored. NodeSpeed entries must be positive; the length-vs-cluster
+// non-positive node or core counts is an error, as is a fault config
+// that its defaults do not make valid, whether or not injection is
+// enabled: a negative rate must not silently disable it. NodeSpeed
+// entries must be positive; the length-vs-cluster
 // check happens after defaults are applied, where the final node count
 // is known.
 func (c SimConfig) Validate() error {
@@ -84,7 +85,7 @@ func (c SimConfig) Validate() error {
 			return fmt.Errorf("runtime: %w", err)
 		}
 	}
-	if err := c.Faults.CheckRanges(); err != nil {
+	if err := c.Faults.WithDefaults().Validate(); err != nil {
 		return fmt.Errorf("runtime: %w", err)
 	}
 	for i, s := range c.NodeSpeed {
@@ -97,8 +98,8 @@ func (c SimConfig) Validate() error {
 
 // resolve is the one configuration check RunSim and NewClusterSim share:
 // Validate, then the defaults, then what only the defaulted config can
-// show — NodeSpeed against the final node count, the cost-model
-// parameters and the fault config with its defaults applied.
+// show — NodeSpeed against the final node count and the cost-model
+// parameters.
 func (c SimConfig) resolve() (SimConfig, error) {
 	if err := c.Validate(); err != nil {
 		return c, err
@@ -110,11 +111,6 @@ func (c SimConfig) resolve() (SimConfig, error) {
 	}
 	if err := c.Params.Validate(); err != nil {
 		return c, fmt.Errorf("runtime: %w", err)
-	}
-	if fcfg := c.Faults.WithDefaults(); fcfg.Enabled() {
-		if err := fcfg.Validate(); err != nil {
-			return c, fmt.Errorf("runtime: %w", err)
-		}
 	}
 	return c, nil
 }

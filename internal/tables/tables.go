@@ -23,23 +23,6 @@ func New(title string, headers ...string) *Table {
 // AddRow appends a row; cells beyond the header count are kept as-is.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// AddRowf appends a row of formatted cells, one per (format, value) use of
-// fmt.Sprintf with a single %v-style verb each.
-func (t *Table) AddRowf(cells ...any) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case string:
-			row[i] = v
-		case float64:
-			row[i] = FormatFloat(v)
-		default:
-			row[i] = fmt.Sprint(v)
-		}
-	}
-	t.Rows = append(t.Rows, row)
-}
-
 // String renders the table.
 func (t *Table) String() string {
 	cols := len(t.Headers)

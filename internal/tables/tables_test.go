@@ -36,17 +36,6 @@ func TestTableExtraCells(t *testing.T) {
 	}
 }
 
-func TestAddRowf(t *testing.T) {
-	tb := New("", "a", "b", "c")
-	tb.AddRowf("s", 3.14159, 42)
-	out := tb.String()
-	for _, want := range []string{"s", "3.142", "42"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output %q missing %q", out, want)
-		}
-	}
-}
-
 func TestFormatFloat(t *testing.T) {
 	cases := map[float64]string{
 		0:          "0",

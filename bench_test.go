@@ -401,21 +401,31 @@ func BenchmarkSimWorkflowLarge(b *testing.B) {
 // 369 MB/op, 9.4 K allocs/op and about 4.8 s/op with a Task slab (time
 // within noise), and about 9.4 s/op, 386 MB/op and 19.9 K allocs/op with
 // coroutine processes (2-vCPU Xeon VM, Go 1.24, -cpu 2, five alternating
-// runs each). The engine dispatches 28,017,416 events on this run
-// (27.35 per task, reported as events/task), 13,760,306 of them from the
-// zero-delay ring, and 1,017,500 waits advance the clock in place. The
-// benchmark fails if the makespan or the dispatched count moves, so CI's
-// perf gate also checks the run's fingerprint.
+// runs each). The engine dispatches 13,415,039 events on this run
+// (13.10 per task, reported as events/task), 4,032,624 of them from the
+// zero-delay ring. 4,874,695 transfers finish in place, 4,852,987 link
+// completions resume their lone continuation inline and 1,017,500 waits
+// advance the clock in place: 23.59 steps per task with the dispatched
+// events (steps/task). Before transfers finished in place and completions
+// resumed inline it dispatched 28,017,416 events (27.35 per task). The
+// benchmark fails if the makespan or any engine counter moves, so CI's
+// perf gate also checks the run's fingerprint, and a fast path that
+// switches on or off fails it.
 func BenchmarkSimWorkflowHuge(b *testing.B) {
 	b.ReportAllocs()
 	var arena wfsim.Arena
 	agg := metrics.NewAggregates()
 	const (
-		wantTasks      = 4096*250 + 250
-		wantMakespan   = 5032.3536777217241
-		wantDispatched = 28017416
+		wantTasks    = 4096*250 + 250
+		wantMakespan = 5032.3536777217241
 	)
-	var dispatched uint64
+	wantStats := sim.Stats{
+		Dispatched: 13415039, RingDispatched: 4032624,
+		Resumes: 6088068, LinkCompletions: 4853311, Joins: 425660,
+		InPlaceWaits: 1017500, InPlaceTransfers: 4874695, InlineResumes: 4852987,
+		PeakPending: 4096,
+	}
+	var st sim.Stats
 	for i := 0; i < b.N; i++ {
 		wf, err := wfsim.BuildKMeans(wfsim.KMeansConfig{
 			Dataset: wfsim.Datasets.KMeansSmall, Grid: 4096, Clusters: 10,
@@ -441,14 +451,16 @@ func BenchmarkSimWorkflowHuge(b *testing.B) {
 		if res.Collector != nil {
 			b.Fatal("streaming run retained a collector")
 		}
-		if res.Makespan != wantMakespan || res.Stats.Dispatched != wantDispatched {
-			b.Fatalf("makespan %.17g and %d events dispatched, want %.17g and %d",
-				res.Makespan, res.Stats.Dispatched, wantMakespan, uint64(wantDispatched))
+		if res.Makespan != wantMakespan || res.Stats != wantStats {
+			b.Fatalf("makespan %.17g and engine counters %+v, want %.17g and %+v",
+				res.Makespan, res.Stats, wantMakespan, wantStats)
 		}
-		dispatched = res.Stats.Dispatched
+		st = res.Stats
 	}
 	b.ReportMetric(wantTasks, "tasks")
-	b.ReportMetric(float64(dispatched)/wantTasks, "events/task")
+	b.ReportMetric(float64(st.Dispatched)/wantTasks, "events/task")
+	steps := st.Dispatched + st.InlineResumes + st.InPlaceWaits + st.InPlaceTransfers
+	b.ReportMetric(float64(steps)/wantTasks, "steps/task")
 }
 
 // BenchmarkDAGBuild isolates workflow construction — task generation,

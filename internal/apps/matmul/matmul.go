@@ -180,13 +180,13 @@ type inputs struct {
 func (in inputs) A(r, c int64) int32 { return in.a[r*in.g+c] }
 func (in inputs) B(r, c int64) int32 { return in.b[r*in.g+c] }
 
-// buildDislib emits the dislib product of every output block. Partial
-// products are the range P[r,c,0..g); inner sums are named S[r,c]rR.I
-// and the output C[r,c] is interned by the pair (or lone product) that
-// writes it.
+// buildDislib emits the dislib product of every output block, sized to
+// the block's real shape as dsarray's MatMul sizes it. Partial products
+// are the range P[r,c,0..g); inner sums are named S[r,c]rR.I and the
+// output C[r,c] is interned by the pair (or lone product) that writes it.
 func buildDislib(wf *runtime.Workflow, part dataset.Partition, in inputs, real bool) {
-	g, n := part.GridRows, part.BlockRows
-	mm, _ := Profiles(n)
+	g := part.GridRows
+	mm, _ := Profiles(part.BlockRows)
 	p := dsarray.NewProduct(wf, mm, real)
 	for r := int64(0); r < g; r++ {
 		for c := int64(0); c < g; c++ {
@@ -194,7 +194,8 @@ func buildDislib(wf *runtime.Workflow, part dataset.Partition, in inputs, real b
 			if g > 1 {
 				products = wf.Graph.Data().Range("P", g, r, c)
 			}
-			p.Block(n, n, g,
+			rows, cols, _ := part.BlockShape(r, c) // (r, c) lies inside the grid
+			p.Block(rows, cols, g,
 				func(k int64) (int32, int32) { return in.A(r, k), in.B(k, c) },
 				func(k int64) int32 {
 					if g == 1 {

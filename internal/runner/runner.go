@@ -367,6 +367,14 @@ func (e *Engine) runTrial(ctx context.Context, t Trial, out *Outcome) error {
 	ent.virtual = virtualOf(ent.value)
 	close(ent.done)
 	if ent.err != nil {
+		// Waiters already coalesced on ent see the error; a later request
+		// runs the trial afresh rather than replaying a failure that may
+		// have been transient (a cancelled context, say).
+		e.mu.Lock()
+		if e.memo[t.Key] == ent {
+			delete(e.memo, t.Key)
+		}
+		e.mu.Unlock()
 		return ent.err
 	}
 	if e.cache != nil && t.Codec.Persistable() {

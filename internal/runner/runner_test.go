@@ -175,24 +175,89 @@ func TestMemoizationSharesOneExecution(t *testing.T) {
 	}
 }
 
+// waitHook is a context that reports when runTrial selects on it: a
+// coalesced trial does so only after it found the key in flight.
+type waitHook struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (h *waitHook) Done() <-chan struct{} {
+	h.once.Do(func() { close(h.waiting) })
+	return h.Context.Done()
+}
+
+// TestMemoizationSharesErrors coalesces a trial onto an in-flight one that
+// fails: the waiter sees the failure without running.
 func TestMemoizationSharesErrors(t *testing.T) {
 	e := New(1)
 	boom := errors.New("boom")
-	var execs atomic.Int32
-	mk := func(id string) Trial {
-		return Trial{ID: id, Key: "same", Run: func(context.Context) (any, error) {
-			execs.Add(1)
-			return nil, boom
-		}}
+	started, release := make(chan struct{}), make(chan struct{})
+	first := make(chan error, 1)
+	go func() {
+		_, err := e.Run(context.Background(), []Trial{{ID: "a", Key: "same",
+			Run: func(context.Context) (any, error) {
+				close(started)
+				<-release
+				return nil, boom
+			}}})
+		first <- err
+	}()
+	<-started
+	hook := &waitHook{Context: context.Background(), waiting: make(chan struct{})}
+	waiter := make(chan error, 1)
+	var out Outcome
+	go func() {
+		waiter <- e.runTrial(hook, Trial{ID: "b", Key: "same", Run: func(context.Context) (any, error) {
+			t.Error("coalesced trial ran")
+			return nil, nil
+		}}, &out)
+	}()
+	select {
+	case <-hook.waiting:
+	case err := <-waiter:
+		t.Fatalf("trial b returned %v without waiting on the in-flight one", err)
 	}
-	if _, err := e.Run(context.Background(), []Trial{mk("a")}); !errors.Is(err, boom) {
+	close(release)
+	if err := <-first; !errors.Is(err, boom) {
 		t.Fatalf("first run: %v", err)
 	}
-	if _, err := e.Run(context.Background(), []Trial{mk("b")}); !errors.Is(err, boom) {
-		t.Fatalf("second run should share the cached error: %v", err)
+	if err := <-waiter; !errors.Is(err, boom) {
+		t.Fatalf("coalesced waiter: %v, want the shared failure", err)
 	}
-	if execs.Load() != 1 {
-		t.Errorf("failing trial executed %d times, want 1", execs.Load())
+}
+
+// TestFailedTrialRunsAgain: a failure is not memoized, so a trial that
+// fails once and then succeeds under the same key runs twice.
+func TestFailedTrialRunsAgain(t *testing.T) {
+	e := New(1)
+	boom := errors.New("boom")
+	var execs atomic.Int32
+	trial := Trial{ID: "t", Key: "same", Run: func(context.Context) (any, error) {
+		if execs.Add(1) == 1 {
+			return nil, boom
+		}
+		return 7, nil
+	}}
+	if _, err := e.Run(context.Background(), []Trial{trial}); !errors.Is(err, boom) {
+		t.Fatalf("first run: %v", err)
+	}
+	rep, err := e.Run(context.Background(), []Trial{trial})
+	if err != nil {
+		t.Fatalf("second run: %v", err)
+	}
+	if execs.Load() != 2 || rep.Outcomes[0].Value != 7 || rep.Memoized != 0 {
+		t.Fatalf("executions = %d, value %v, memoized %d; want 2, 7, 0",
+			execs.Load(), rep.Outcomes[0].Value, rep.Memoized)
+	}
+	// The success is memoized as usual.
+	rep, err = e.Run(context.Background(), []Trial{trial})
+	if err != nil {
+		t.Fatalf("third run: %v", err)
+	}
+	if rep.Memoized != 1 || execs.Load() != 2 {
+		t.Fatalf("third run: memoized %d, executions %d; want a memo hit", rep.Memoized, execs.Load())
 	}
 }
 

@@ -19,6 +19,9 @@ import (
 // pinned when the counter was added. Dispatched fell from 47,980 to 39,975
 // when a transfer starting on an idle latency link stopped scheduling a
 // join event; the role split (resumes, link completions, joins) was pinned
+// then. It fell again to 21,580 when a transfer running alone began to
+// finish in place and a link completion draining one flow began to resume
+// its continuation inline; InPlaceTransfers and InlineResumes were pinned
 // then.
 func TestEngineStatsDeterministic(t *testing.T) {
 	run := func() sim.Stats {
@@ -39,9 +42,10 @@ func TestEngineStatsDeterministic(t *testing.T) {
 		t.Fatalf("engine counters diverged:\n  first:  %+v\n  second: %+v", a, b)
 	}
 	want := sim.Stats{
-		Dispatched: 39975, RingDispatched: 17130,
-		Resumes: 19800, LinkCompletions: 12810, Joins: 4805,
-		InPlaceWaits: 1190, PeakPending: 256,
+		Dispatched: 21580, RingDispatched: 4320,
+		Resumes: 6990, LinkCompletions: 7225, Joins: 4805,
+		InPlaceWaits: 1190, InPlaceTransfers: 5585, InlineResumes: 7225,
+		PeakPending: 256,
 	}
 	if a != want {
 		t.Fatalf("engine counters = %+v, want %+v", a, want)

@@ -60,12 +60,19 @@ func New(eng *runner.Engine, store *resultcache.Store) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
+// writeJSON encodes v in full before it writes the header, so a value
+// that cannot be encoded (a NaN or infinite field, say) answers 500 with a
+// JSON error body instead of a truncated response under status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		status = http.StatusInternalServerError
+		// A map of strings always encodes.
+		body, _ = json.MarshalIndent(map[string]string{"error": "encoding response: " + err.Error()}, "", "  ")
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(append(body, '\n'))
 }
 
 func writeErr(w http.ResponseWriter, status int, format string, args ...any) {

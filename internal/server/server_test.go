@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"wfsim/internal/dataset"
@@ -77,6 +79,27 @@ func TestRunEndpointUnknownID(t *testing.T) {
 	srv.ServeHTTP(rec, req)
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("code = %d, want 404", rec.Code)
+	}
+}
+
+// TestWriteJSONUnencodable serves a handler whose result holds a NaN: the
+// response must be a complete 500 with a JSON error body, never a
+// truncated 200.
+func TestWriteJSONUnencodable(t *testing.T) {
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, struct{ Speedup float64 }{math.NaN()})
+	})
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("code = %d, want 500: %s", rec.Code, rec.Body)
+	}
+	var body struct{ Error string }
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("error body is not JSON: %v: %q", err, rec.Body)
+	}
+	if !strings.Contains(body.Error, "unsupported value: NaN") {
+		t.Fatalf("error = %q, want the encoder's complaint", body.Error)
 	}
 }
 

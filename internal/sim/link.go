@@ -30,7 +30,9 @@ const completionEpsilon = 1e-6
 // before that instant and change the rate. Only a flow with bytes > 0 on an
 // idle link skips the join event (its flow.join node): a flow that starts
 // while the link is busy schedules one, and so does a zero-byte transfer
-// whose latency cannot elapse in place.
+// whose latency cannot elapse in place. When no event is due before a
+// transfer on an idle link would finish, Transfer finishes it in place and
+// no flow is created at all.
 //
 // The link owns a single completion event node, moved in place with a heap
 // fix on every membership change (no removal and re-push, no dead heap
@@ -168,6 +170,15 @@ func (l *Link) putFlow(f *flow) {
 	l.freeFlows = append(l.freeFlows, f)
 }
 
+// drainDelay returns the time flow f takes to drain at the current rate.
+func (l *Link) drainDelay(f *flow) float64 {
+	delay := f.remaining / l.rate()
+	if delay < 0 {
+		delay = 0
+	}
+	return delay
+}
+
 // retarget points the pending completion event at flow f. All flows drain
 // at the same rate, so f stays the earliest finisher until the next
 // membership change. The rate is constant between membership changes, so at
@@ -177,18 +188,22 @@ func (l *Link) putFlow(f *flow) {
 // would otherwise livelock). The completion node gets a fresh sequence
 // number, so it orders among same-instant events as a newly scheduled one.
 func (l *Link) retarget(f *flow) {
-	delay := f.remaining / l.rate()
-	if delay < 0 {
-		delay = 0
-	}
 	l.target = f
-	l.eng.fixNode(&l.next, delay)
+	l.eng.fixNode(&l.next, l.drainDelay(f))
 }
 
 // complete fires when the target flow has drained; it removes the target
 // plus any other flow within float64 drift of empty, resumes their
-// continuations in insertion order, and retargets the earliest remaining flow — found
-// during the same removal sweep, not by a second scan.
+// continuations in insertion order, and retargets the earliest remaining
+// flow — found during the same removal sweep, not by a second scan.
+//
+// A lone drained flow's delay-0 resume would be the next event dispatched
+// when nothing else is due at the current instant once the link is
+// retargeted, so complete runs that continuation's step itself instead, as
+// its last act: the same instant and the same order, one event fewer. When
+// the retarget lands at the current instant too, the resume is scheduled
+// as usual, before the retarget, so its seq still precedes the new
+// completion's.
 func (l *Link) complete() {
 	if l.target != nil {
 		l.target.remaining = 0
@@ -197,11 +212,22 @@ func (l *Link) complete() {
 	l.advance()
 	kept := l.active[:0]
 	var min *flow
+	var first *Cont // the first drained flow's continuation, resumed below
+	drained := 0
 	for _, f := range l.active {
 		if f.remaining <= completionEpsilon+1e-12*f.total {
 			l.transfers++
 			l.bytesMoved += f.total
-			f.cont.resume()
+			drained++
+			switch drained {
+			case 1:
+				first = f.cont
+			case 2:
+				first.resume()
+				f.cont.resume()
+			default:
+				f.cont.resume()
+			}
 			l.putFlow(f)
 			l.vacate()
 		} else {
@@ -215,8 +241,19 @@ func (l *Link) complete() {
 		l.active[i] = nil
 	}
 	l.active = kept
+	// waitUntil(now) holds when no pending event is due at the current
+	// instant; the retarget must not land there either.
+	e := l.eng
+	inline := drained == 1 && (min == nil || e.now+l.drainDelay(min) > e.now) && e.waitUntil(e.now)
+	if drained == 1 && !inline {
+		first.resume()
+	}
 	if min != nil {
 		l.retarget(min)
+	}
+	if inline {
+		e.stats.InlineResumes++
+		first.ev.fn()
 	}
 }
 
@@ -262,40 +299,51 @@ func (f *flow) joinLatent() {
 // Concurrent transfers share the bandwidth equally. A zero-byte transfer
 // pays only the latency.
 //
-// Transfer reports true when the transfer completed in place: a zero-byte
-// transfer on a latency-free link, or a zero-byte transfer whose latency
-// elapsed with no other event due first. Otherwise it reports false and c's
-// step runs again at the instant the transfer completes, scheduled from the
-// completion event at delay 0.
+// Transfer reports true when the transfer completed in place, and c's step
+// simply continues: a zero-byte transfer on a latency-free link, a
+// zero-byte transfer whose latency elapsed with no other event due first,
+// or a transfer that starts on an idle link and completes strictly before
+// every pending event. Otherwise it reports false and c's step runs again
+// at the instant the transfer completes, resumed by the completion event.
 //
-// A transfer that starts on a link with startup latency costs the
-// completion event alone when the link is idle (no active flow, no transfer
-// inside its latency): the flow joins virtually at now+latency, and the
-// completion is scheduled at (now+latency) + bytes/bandwidth, the instant a
-// join event would have computed. Its sequence number is taken here, not
-// at the join, so it can order differently only against an event due at
-// exactly that instant and scheduled inside the latency window. On a busy
-// link the join is a scheduled inline event rather than a wake-up of c, so
-// the continuation is resumed exactly once per transfer; the join event
-// takes the schedule position a latency Wait issued here would take, so
-// ordering matches a wait-then-join.
+// A transfer that starts on an idle link (no active flow, no transfer
+// inside its latency) joins the pipe virtually at now+latency: it runs
+// alone until (now+latency) + bytes/bandwidth, the instant a join event
+// would have computed, unless a later transfer joins first. When no event
+// is due before that instant, nothing can join, so the clock advances
+// there in place (the check Cont.Wait makes) and the transfer costs no
+// event. Otherwise the completion is its only event. Its sequence number is
+// taken here, not at the join, so it can order differently only against an
+// event due at exactly that instant and scheduled inside the latency
+// window. On a busy link the join is a scheduled inline event rather than a
+// wake-up of c, so the continuation is resumed exactly once per transfer;
+// the join event takes the schedule position a latency Wait issued here
+// would take, so ordering matches a wait-then-join.
 func (l *Link) Transfer(c *Cont, bytes float64) bool {
 	if bytes < 0 || math.IsNaN(bytes) {
 		panic(fmt.Sprintf("sim: transfer of %v bytes on link %q", bytes, l.name))
 	}
-	if l.latency > 0 {
-		if bytes > 0 && l.occ == 0 {
-			// Occupancy runs unbroken from now: the busy-time split a join
-			// event would book (vacate, then occupy, at the join instant)
-			// changes the integral by float rounding alone, so none is
-			// booked.
-			f := l.getFlow(bytes, c)
-			l.add(f)
-			l.lastUpdate = l.eng.now + l.latency
-			l.target = f
-			l.eng.schedAt(&l.next, l.lastUpdate+bytes/l.bw)
-			return false
+	if bytes > 0 && l.occ == 0 {
+		// Occupancy runs unbroken from now: the busy-time split a join
+		// event would book (vacate, then occupy, at the join instant)
+		// changes the integral by float rounding alone, so none is booked.
+		start, join := l.eng.now, l.eng.now+l.latency
+		done := join + bytes/l.bw
+		if l.eng.waitUntil(done) {
+			l.busyInt += done - start
+			l.transfers++
+			l.bytesMoved += bytes
+			l.eng.stats.InPlaceTransfers++
+			return true
 		}
+		f := l.getFlow(bytes, c)
+		l.add(f)
+		l.lastUpdate = join
+		l.target = f
+		l.eng.schedAt(&l.next, done)
+		return false
+	}
+	if l.latency > 0 {
 		l.occupy()
 		if bytes == 0 && l.eng.waitInPlace(l.latency) {
 			l.vacate()

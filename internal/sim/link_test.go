@@ -194,8 +194,10 @@ func TestLinkConservation(t *testing.T) {
 }
 
 // TestLinkTransferEvents pins when a lone transfer completes and what it
-// costs in events. On an idle latency link the flow joins virtually, so the
-// completion is the transfer's only event, due at exactly (t0+λ)+b/bw. A
+// costs in events. On an idle link with nothing else pending the transfer
+// finishes in place at exactly (t0+λ)+b/bw and costs no event. With a
+// plain event due first, the flow joins virtually, so the completion is the
+// transfer's only event, and it resumes the continuation inline. A
 // zero-byte transfer pays its latency in place, or, with a plain event due
 // inside its latency, through a join event on the idle link; a
 // latency-free link never had a join to skip.
@@ -208,13 +210,15 @@ func TestLinkTransferEvents(t *testing.T) {
 		want       Stats
 	}{
 		{"idle latency link", 0.3, 70, 0,
-			Stats{Dispatched: 3, RingDispatched: 1, Resumes: 2, LinkCompletions: 1, PeakPending: 1}},
+			Stats{Dispatched: 1, Resumes: 1, InPlaceTransfers: 1, PeakPending: 1}},
+		{"idle latency link behind a pending event", 0.3, 70, 0.2,
+			Stats{Dispatched: 3, Resumes: 1, LinkCompletions: 1, InlineResumes: 1, PeakPending: 2}},
 		{"zero bytes", 0.3, 0, 0,
 			Stats{Dispatched: 1, Resumes: 1, InPlaceWaits: 1, PeakPending: 1}},
 		{"zero bytes behind a pending event", 0.3, 0, 0.2,
 			Stats{Dispatched: 3, Resumes: 1, Joins: 1, PeakPending: 2}},
 		{"latency-free", 0, 70, 0,
-			Stats{Dispatched: 3, RingDispatched: 1, Resumes: 2, LinkCompletions: 1, PeakPending: 1}},
+			Stats{Dispatched: 1, Resumes: 1, InPlaceTransfers: 1, PeakPending: 1}},
 		{"latency-free zero bytes", 0, 0, 0,
 			Stats{Dispatched: 1, Resumes: 1, PeakPending: 1}},
 	} {
@@ -237,6 +241,126 @@ func TestLinkTransferEvents(t *testing.T) {
 			}
 			if l.Transfers() != 1 || l.Active() != 0 {
 				t.Errorf("transfers = %d, active = %d; want 1, 0", l.Transfers(), l.Active())
+			}
+		})
+	}
+}
+
+// TestLinkTransferInPlace pins the in-place rule for a transfer that
+// starts on an idle link: it finishes in place only when its completion
+// instant lies strictly before every pending event. A plain event due
+// inside the transfer, or at exactly its completion instant, runs first and
+// the transfer takes the scheduled path. Either way it completes at exactly
+// (t0+λ)+b/bw and books the same busy time, transfer count and bytes.
+func TestLinkTransferInPlace(t *testing.T) {
+	t0, lat, bytes, bw := 0.1, 0.3, 70.0, 100.0
+	done := (t0 + lat) + bytes/bw
+	for _, tc := range []struct {
+		name    string
+		plain   float64 // instant of a plain event, if > 0
+		inPlace bool
+	}{
+		{"nothing pending", 0, true},
+		{"plain event inside the latency", t0 + lat/2, false},
+		{"plain event while streaming", (t0 + lat + done) / 2, false},
+		{"plain event at the completion instant", done, false},
+		{"plain event after the completion", done + 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New()
+			l := NewLink(e, "gpfs", bw, lat)
+			var got []string
+			record := func(name string) {
+				got = append(got, fmt.Sprintf("%s@%v", name, e.Now()))
+			}
+			want := []string{fmt.Sprintf("done@%v", done)}
+			if tc.plain > 0 {
+				e.Schedule(tc.plain, func() { record("plain") })
+				plain := fmt.Sprintf("plain@%v", tc.plain)
+				if tc.plain <= done {
+					want = append([]string{plain}, want...)
+				} else {
+					want = append(want, plain)
+				}
+			}
+			var inPlace bool
+			spawn(e, t0,
+				func(c *Cont) bool { inPlace = l.Transfer(c, bytes); return inPlace },
+				do(func() { record("done") }))
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("events = %v, want %v", got, want)
+			}
+			if inPlace != tc.inPlace {
+				t.Fatalf("Transfer reported %v, want %v", inPlace, tc.inPlace)
+			}
+			if n := e.Stats().InPlaceTransfers; n != 0 != tc.inPlace || n > 1 {
+				t.Fatalf("%d in-place transfers, want in place = %v", n, tc.inPlace)
+			}
+			if l.BusyTime() != done-t0 || l.Transfers() != 1 || l.BytesMoved() != bytes {
+				t.Fatalf("busy %v, %d transfers, %v bytes; want %v, 1, %v",
+					l.BusyTime(), l.Transfers(), l.BytesMoved(), done-t0, bytes)
+			}
+		})
+	}
+}
+
+// TestLinkInlineResume pins when a link completion runs the drained
+// continuation's step itself instead of scheduling its resume: only when it
+// drains exactly one flow and nothing else is due at the current instant,
+// the link's retargeted completion included.
+func TestLinkInlineResume(t *testing.T) {
+	type start struct {
+		at, bytes float64
+	}
+	for _, tc := range []struct {
+		name   string
+		bw     float64
+		starts []start
+		plain  [2]float64 // a plain event scheduled at plain[0] for plain[1], if any
+		want   []string
+		stats  Stats
+	}{
+		// One completion drains all three: resumes run in insertion order.
+		{"three flows drain together", 100, []start{{0, 100}, {0, 100}, {0, 100}}, [2]float64{},
+			[]string{"0@3", "1@3", "2@3"},
+			Stats{Dispatched: 7, RingDispatched: 6, Resumes: 6, LinkCompletions: 1, PeakPending: 3}},
+		// At t=1e12 a 1e-5 B residue takes 1e-5 s, under half an ulp of the
+		// clock: flow 1's completion lands at the current instant, so flow
+		// 0's resume is scheduled ahead of it.
+		{"peer retargets to the current instant", 1, []start{{1e12, 100}, {1e12, 100.00001}}, [2]float64{},
+			[]string{"0@1.0000000002e+12", "1@1.0000000002e+12"},
+			Stats{Dispatched: 5, RingDispatched: 2, Resumes: 3, LinkCompletions: 2, InlineResumes: 1, PeakPending: 2}},
+		// A plain event scheduled after the completion, due at its instant,
+		// holds a later seq yet is pending when the completion fires, so
+		// the resume is scheduled and runs after it.
+		{"plain event due at the completion instant", 100, []start{{0, 100}}, [2]float64{0.5, 1},
+			[]string{"plain@1", "0@1"},
+			Stats{Dispatched: 5, RingDispatched: 2, Resumes: 2, LinkCompletions: 1, PeakPending: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New()
+			l := NewLink(e, "disk", tc.bw, 0)
+			var got []string
+			record := func(name string) {
+				got = append(got, fmt.Sprintf("%s@%v", name, e.Now()))
+			}
+			for i, s := range tc.starts {
+				spawn(e, s.at, transfer(l, s.bytes), do(func() { record(fmt.Sprint(i)) }))
+			}
+			if p := tc.plain; p[1] > 0 {
+				e.Schedule(p[0], func() { e.Schedule(p[1]-p[0], func() { record("plain") }) })
+			}
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("completions = %v, want %v", got, tc.want)
+			}
+			if st := e.Stats(); st != tc.stats {
+				t.Fatalf("Stats() = %+v, want %+v", st, tc.stats)
 			}
 		})
 	}

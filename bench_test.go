@@ -54,20 +54,20 @@ func BenchmarkFig1(b *testing.B) {
 // BenchmarkFig7a regenerates Figure 7a: Matmul end-to-end analysis.
 func BenchmarkFig7a(b *testing.B) {
 	res := runExperiment(b, "fig7a").(*experiments.Fig7Result)
-	max := 0.0
+	var max experiments.Ratio
 	for _, p := range res.Sweeps[0].Points {
 		if !p.CPU.OOM && !p.GPU.OOM && p.PFracSpd > max {
 			max = p.PFracSpd
 		}
 	}
-	b.ReportMetric(max, "max-pfrac-speedup")
+	b.ReportMetric(float64(max), "max-pfrac-speedup")
 }
 
 // BenchmarkFig7b regenerates Figure 7b: K-means end-to-end analysis.
 func BenchmarkFig7b(b *testing.B) {
 	res := runExperiment(b, "fig7b").(*experiments.Fig7Result)
 	first := res.Sweeps[0].Points[0]
-	b.ReportMetric(first.PTaskSpd, "finegrain-ptask-speedup")
+	b.ReportMetric(float64(first.PTaskSpd), "finegrain-ptask-speedup")
 }
 
 // BenchmarkFig8 regenerates Figure 8: matmul_func vs add_func complexity.
@@ -92,8 +92,8 @@ func BenchmarkFig8(b *testing.B) {
 // BenchmarkFig9a regenerates Figure 9a: the #clusters effect.
 func BenchmarkFig9a(b *testing.B) {
 	res := runExperiment(b, "fig9a").(*experiments.Fig9aResult)
-	b.ReportMetric(res.Sweeps[0].Points[0].UserSpd, "speedup-k10")
-	b.ReportMetric(res.Sweeps[2].Points[0].UserSpd, "speedup-k1000")
+	b.ReportMetric(float64(res.Sweeps[0].Points[0].UserSpd), "speedup-k10")
+	b.ReportMetric(float64(res.Sweeps[2].Points[0].UserSpd), "speedup-k1000")
 }
 
 // BenchmarkFig9b regenerates Figure 9b: the data-skew (non-)effect, with

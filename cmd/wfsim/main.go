@@ -524,7 +524,14 @@ func cmdServe(args []string) error {
 		fmt.Fprintf(os.Stderr, "wfsim serve: cache %s (%d entries warm)\n", *cacheDir, store.Stats().Entries)
 	}
 	srv := server.New(eng, store)
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	// Slow or idle clients cannot hold connections open indefinitely. No
+	// WriteTimeout: a cold /run can legitimately take seconds.
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	go func() {

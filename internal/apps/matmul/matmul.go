@@ -214,26 +214,25 @@ func buildDislib(wf *runtime.Workflow, part dataset.Partition, in inputs, real b
 }
 
 // buildFMA emits g³ fused tasks: C[i,j] += A[i,k]·B[k,j], serialized in k
-// per output block by the INOUT accumulator dependency.
+// per output block by the INOUT accumulator dependency. Each accumulator
+// is sized to its block's real shape; fma_func is priced at the uniform
+// block, as buildDislib prices matmul_func.
 func buildFMA(wf *runtime.Workflow, part dataset.Partition, in inputs, real bool) {
 	g := part.GridRows
 	prof := FMAProfile(part.BlockRows)
 	for r := int64(0); r < g; r++ {
 		for c := int64(0); c < g; c++ {
 			out := wf.Datum(KeyC(r, c))
-			wf.SetSizeByID(out, float64(part.BlockRows*part.BlockCols*dataset.ElemSize))
+			rows, cols, _ := part.BlockShape(r, c) // (r, c) lies inside the grid
+			wf.SetSizeByID(out, float64(rows*cols*dataset.ElemSize))
 			// Zero-init accumulator task (serial, negligible cost).
 			initSpec := runtime.TaskSpec{Profile: costmodel.Profile{
 				Kernel: costmodel.KernelGeneric, SerialOps: 1000,
 			}}
 			if real {
-				rr, cc := r, c
+				blk := dataset.BlockID{Row: r, Col: c}
 				initSpec.Exec = func(s *runtime.Store) error {
-					rows, cols, err := part.BlockShape(rr, cc)
-					if err != nil {
-						return err
-					}
-					s.Put(KeyC(rr, cc), dataset.NewBlock(dataset.BlockID{Row: rr, Col: cc}, rows, cols))
+					s.Put(KeyC(blk.Row, blk.Col), dataset.NewBlock(blk, rows, cols))
 					return nil
 				}
 			}
@@ -276,11 +275,7 @@ func Reference(wf *runtime.Workflow, store *runtime.Store, cfg Config) error {
 	g := part.GridRows
 	for r := int64(0); r < g; r++ {
 		for c := int64(0); c < g; c++ {
-			rows, _, err := part.BlockShape(r, c)
-			if err != nil {
-				return err
-			}
-			_, cols, err := part.BlockShape(r, c)
+			rows, cols, err := part.BlockShape(r, c)
 			if err != nil {
 				return err
 			}

@@ -117,6 +117,26 @@ func TestDAGShapeFMA(t *testing.T) {
 	}
 }
 
+func TestFMARaggedAccumulatorSizes(t *testing.T) {
+	// 100×100 over a 3×3 grid: blocks of 34, 34 and 32 rows. Each
+	// accumulator is sized to its block, as zero_func materializes it.
+	wf, err := Build(Config{
+		Dataset: dataset.Dataset{Name: "ragged", Rows: 100, Cols: 100},
+		Grid:    3, Variant: FMA,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		r, c int64
+		want float64
+	}{{0, 0, 34 * 34 * dataset.ElemSize}, {0, 2, 34 * 32 * dataset.ElemSize}, {2, 2, 8192}} {
+		if got := wf.Size(KeyC(tc.r, tc.c)); got != tc.want {
+			t.Errorf("C[%d,%d] = %v bytes, want %v", tc.r, tc.c, got, tc.want)
+		}
+	}
+}
+
 func TestProfilesMatchComplexities(t *testing.T) {
 	mm, add := Profiles(1000)
 	if mm.ParallelOps != 2e9 {

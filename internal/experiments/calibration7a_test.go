@@ -8,7 +8,7 @@ import (
 func TestCalibrationFig7a(t *testing.T) {
 	r := mustRun(t, "fig7a").(*Fig7Result)
 	small := r.Sweeps[0] // 8 GB
-	prevP := 0.0
+	var prevP Ratio
 	for _, p := range small.Points {
 		if p.CPU.OOM || p.GPU.OOM {
 			continue
@@ -35,7 +35,7 @@ func TestCalibrationFig7a(t *testing.T) {
 			coarse = p
 		}
 	}
-	discount := func(p SweepPoint) float64 { return 1 - p.UserSpd/p.PFracSpd }
+	discount := func(p SweepPoint) float64 { return float64(1 - p.UserSpd/p.PFracSpd) }
 	if discount(fine) <= discount(coarse) {
 		t.Errorf("communication discount should shrink with block size: fine %.4f vs coarse %.4f",
 			discount(fine), discount(coarse))

@@ -121,7 +121,7 @@ func TestCalibrationFig9a(t *testing.T) {
 	r := mustRun(t, "fig9a").(*Fig9aResult)
 	// Index 0: 10 clusters; 1: 100; 2: 1000. Compare at the smallest
 	// block (first point after the ascending-block reorder).
-	spd := func(s int) float64 { return r.Sweeps[s].Points[0].UserSpd }
+	spd := func(s int) float64 { return float64(r.Sweeps[s].Points[0].UserSpd) }
 	s10, s100, s1000 := spd(0), spd(1), spd(2)
 	if s10 < 1.0 || s10 > 1.7 {
 		t.Errorf("10-cluster speedup = %.2f, want ≈1.24", s10)
@@ -141,7 +141,7 @@ func TestCalibrationFig9a(t *testing.T) {
 			if p.CPU.OOM || p.GPU.OOM {
 				continue
 			}
-			if math.Abs(p.UserSpd-base)/base > 0.15 {
+			if math.Abs(float64((p.UserSpd-base)/base)) > 0.15 {
 				t.Errorf("clusters=%d: speedup varies with block size: %.2f vs %.2f",
 					r.Clusters[s], p.UserSpd, base)
 			}

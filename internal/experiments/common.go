@@ -19,7 +19,9 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"math"
 
 	"wfsim/internal/apps/kmeans"
 	"wfsim/internal/apps/matmul"
@@ -372,6 +374,21 @@ func RunPairs(ctx context.Context, eng *runner.Engine, label string, cfgs []Cell
 
 // Speedup returns tCPU/tGPU guarding zeros.
 func Speedup(tCPU, tGPU float64) float64 { return costmodel.Speedup(tCPU, tGPU) }
+
+// Ratio is a result ratio that can be undefined or unbounded: a speedup
+// at a point where one side ran out of memory (NaN), the Amdahl limit of
+// code with no serial part (+Inf), the correlation of a constant column
+// (NaN). JSON has no number for those, so Ratio encodes them as null;
+// finite values encode exactly as a float64 does.
+type Ratio float64
+
+// MarshalJSON implements json.Marshaler.
+func (r Ratio) MarshalJSON() ([]byte, error) {
+	if math.IsNaN(float64(r)) || math.IsInf(float64(r), 0) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(float64(r))
+}
 
 // clusterSpec is a small helper for hypothetical-topology ablations.
 func clusterSpec(nodes, cores, gpus int) cluster.Spec {

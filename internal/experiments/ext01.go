@@ -27,7 +27,7 @@ type Ext1Point struct {
 	UserSpeedup float64
 	// AmdahlLimit bounds the speedup achievable with free, infinitely
 	// fast offload.
-	AmdahlLimit float64
+	AmdahlLimit Ratio
 	// SimSpeedup is the simulator-measured user-code speedup (validation
 	// of the analytic value).
 	SimSpeedup float64
@@ -117,7 +117,7 @@ func runExt1(ctx context.Context, eng *runner.Engine) (Result, error) {
 			Name:             s.name,
 			ParallelFraction: b.ParallelFraction,
 			UserSpeedup:      b.UserCodeSpeedup,
-			AmdahlLimit:      b.AmdahlLimit,
+			AmdahlLimit:      Ratio(b.AmdahlLimit),
 			SimSpeedup:       sim,
 		})
 	}
@@ -164,7 +164,7 @@ func (r *Ext1Result) Render() string {
 	for _, p := range r.Points {
 		limit := "∞"
 		if p.AmdahlLimit < 1e6 {
-			limit = tables.FormatSpeedup(p.AmdahlLimit)
+			limit = tables.FormatSpeedup(float64(p.AmdahlLimit))
 		}
 		t.AddRow(p.Name,
 			fmt.Sprintf("%.0f%%", p.ParallelFraction*100),

@@ -17,9 +17,9 @@ type SweepPoint struct {
 	CPU, GPU Cell
 
 	// GPU-over-CPU speedups at the three stages Figure 7 charts.
-	PFracSpd float64
-	UserSpd  float64
-	PTaskSpd float64
+	PFracSpd Ratio
+	UserSpd  Ratio
+	PTaskSpd Ratio
 }
 
 // OOMLabel renders the paper's chart annotations for a point.
@@ -69,11 +69,12 @@ func sweepConfigs(alg Algorithm, ds dataset.Dataset, grids []int64, clusters int
 func sweepPoint(p Pair) SweepPoint {
 	pt := SweepPoint{CPU: p.CPU, GPU: p.GPU}
 	if !p.CPU.OOM && !p.GPU.OOM {
-		pt.PFracSpd = Speedup(p.CPU.PFracMean, p.GPU.PFracMean)
-		pt.UserSpd = Speedup(p.CPU.UserMean, p.GPU.UserMean)
-		pt.PTaskSpd = Speedup(p.CPU.PTaskMean, p.GPU.PTaskMean)
+		pt.PFracSpd = Ratio(Speedup(p.CPU.PFracMean, p.GPU.PFracMean))
+		pt.UserSpd = Ratio(Speedup(p.CPU.UserMean, p.GPU.UserMean))
+		pt.PTaskSpd = Ratio(Speedup(p.CPU.PTaskMean, p.GPU.PTaskMean))
 	} else {
-		pt.PFracSpd, pt.UserSpd, pt.PTaskSpd = math.NaN(), math.NaN(), math.NaN()
+		nan := Ratio(math.NaN())
+		pt.PFracSpd, pt.UserSpd, pt.PTaskSpd = nan, nan, nan
 	}
 	return pt
 }
@@ -142,9 +143,9 @@ func (r *Fig7Result) Render() string {
 			t.AddRow(
 				dataset.FormatBytes(p.CPU.BlockBytes),
 				p.CPU.GridString,
-				tables.FormatSpeedup(p.PFracSpd),
-				tables.FormatSpeedup(p.UserSpd),
-				tables.FormatSpeedup(p.PTaskSpd),
+				tables.FormatSpeedup(float64(p.PFracSpd)),
+				tables.FormatSpeedup(float64(p.UserSpd)),
+				tables.FormatSpeedup(float64(p.PTaskSpd)),
 				p.OOMLabel(),
 			)
 		}

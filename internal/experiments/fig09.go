@@ -64,7 +64,7 @@ func (r *Fig9aResult) Render() string {
 			if lbl := p.OOMLabel(); lbl != "" {
 				row = append(row, lbl)
 			} else {
-				row = append(row, tables.FormatSpeedup(p.UserSpd))
+				row = append(row, tables.FormatSpeedup(float64(p.UserSpd)))
 			}
 		}
 		t.AddRow(row...)

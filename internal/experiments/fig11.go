@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -41,6 +42,31 @@ type Fig11Result struct {
 	Samples int
 	Skipped int // OOM combinations (no execution time to correlate)
 	Matrix  *stats.Matrix
+}
+
+// MarshalJSON encodes the result as its fields encode, with the
+// correlations as Ratios: a feature that is constant over the samples has
+// no defined correlation.
+func (r *Fig11Result) MarshalJSON() ([]byte, error) {
+	type plain Fig11Result
+	type matrix struct {
+		*stats.Matrix
+		R [][]Ratio // shadows Matrix.R
+	}
+	out := struct {
+		*plain
+		Matrix *matrix // shadows plain.Matrix
+	}{plain: (*plain)(r)}
+	if m := r.Matrix; m != nil {
+		out.Matrix = &matrix{Matrix: m, R: make([][]Ratio, len(m.R))}
+		for i, row := range m.R {
+			out.Matrix.R[i] = make([]Ratio, len(row))
+			for j, v := range row {
+				out.Matrix.R[i][j] = Ratio(v)
+			}
+		}
+	}
+	return json.Marshal(out)
 }
 
 // fig11Samples enumerates the sweep: for each algorithm the main dataset

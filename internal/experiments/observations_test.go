@@ -25,8 +25,8 @@ func TestObservationO1(t *testing.T) {
 		if p.CPU.OOM || p.GPU.OOM {
 			continue
 		}
-		min = math.Min(min, p.UserSpd)
-		max = math.Max(max, p.UserSpd)
+		min = math.Min(min, float64(p.UserSpd))
+		max = math.Max(max, float64(p.UserSpd))
 	}
 	if (max-min)/min > 0.15 {
 		t.Errorf("O1 violated: user-code speedup spans [%.2f, %.2f] across block sizes", min, max)

@@ -3,18 +3,19 @@ package resultcache
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"strconv"
 	"sync"
 )
 
 // Stats are the store's cumulative counters. Hits/Misses count Get
 // outcomes; CorruptDropped counts blobs discarded for failing validation
-// (bad magic, wrong schema, truncation, checksum mismatch) — each such
-// drop also counts as a miss, because the caller re-simulates.
+// (bad magic, wrong schema, truncation, checksum mismatch, or a file too
+// short to hold a header) — a drop at Get also counts as a miss, because
+// the caller re-simulates.
 type Stats struct {
 	Hits           uint64 `json:"hits"`
 	Misses         uint64 `json:"misses"`
@@ -26,14 +27,18 @@ type Stats struct {
 }
 
 // Store is a persistent content-addressed result cache: one blob file per
-// key under dir/blobs plus a JSON index tracking sizes and LRU recency.
-// All writes are atomic (temp file + rename), so a crash mid-write leaves
-// either the old state or the new, never a torn blob; a torn or tampered
-// blob that does land on disk is detected by checksum on read and treated
-// as a miss. A Store is safe for concurrent use within one process;
-// concurrent processes sharing a directory are safe for blobs (atomic
-// renames) but may lose index recency updates, which only weakens LRU
-// ordering, never correctness.
+// key under dir/blobs and a one-line dir/schema marker. The blob
+// directory is the only record: an entry's size is its file size less
+// the header, and LRU recency starts from the files' modification times,
+// which are write order (recency earned by Gets lives only as long as the
+// process). Each blob is written to a unique temp file and renamed into
+// place, so it is complete when Put returns and Close has nothing to
+// flush. Blobs are not fsynced: one that a crash tears, like any blob
+// corrupted on disk, fails its checksum on read and is treated as a miss.
+// A Store is safe for concurrent use within one process. Processes
+// sharing a directory are safe for blobs (atomic renames), but one
+// opening the store removes the other's in-flight temp files, which only
+// loses that Put.
 type Store struct {
 	dir string
 	// maxBytes bounds the total payload bytes; 0 means unbounded.
@@ -41,27 +46,22 @@ type Store struct {
 
 	mu      sync.Mutex
 	entries map[string]*entry // blob name (hex) → entry
-	clock   uint64            // logical LRU clock
-	stats   Stats
-	bytes   int64
+	// clock is the LRU clock: statting a blob seeds it, and the entry's
+	// lastUse, with the blob's modification time in nanoseconds.
+	clock uint64
+	stats Stats
+	bytes int64 // payload bytes of the entries whose size is known
 }
 
 type entry struct {
-	Size    int64  `json:"size"`
-	LastUse uint64 `json:"last_use"`
-}
-
-// index is the on-disk JSON form.
-type index struct {
-	Schema  int               `json:"schema"`
-	Clock   uint64            `json:"clock"`
-	Entries map[string]*entry `json:"entries"`
+	size    int64 // payload bytes; -1 until statted
+	lastUse uint64
 }
 
 const (
-	blobDir   = "blobs"
-	indexFile = "index.json"
-	blobMagic = "WFC1"
+	blobDir    = "blobs"
+	schemaFile = "schema"
+	blobMagic  = "WFC1"
 	// blobHeaderSize is magic(4) + schema(4) + payload length(8) +
 	// payload SHA-256(32).
 	blobHeaderSize = 4 + 4 + 8 + sha256.Size
@@ -69,88 +69,92 @@ const (
 
 // Open opens (creating if needed) a store rooted at dir. maxBytes bounds
 // the cached payload volume (0 = unbounded); when an insert pushes past
-// the bound, least-recently-used entries are evicted until it fits. An
-// index recorded by an older schema version invalidates the whole cache:
+// the bound, least-recently-used entries are evicted until it fits. Open
+// reads no blob and removes files that are not blobs (temp files left by
+// a crash). A bounded store stats every blob for its size and write
+// order; an unbounded one leaves sizes to Stats. A schema marker that is
+// missing or names another SchemaVersion invalidates the whole cache:
 // every blob is removed rather than served as stale physics.
 func Open(dir string, maxBytes int64) (*Store, error) {
-	if err := os.MkdirAll(filepath.Join(dir, blobDir), 0o755); err != nil {
+	blobs := filepath.Join(dir, blobDir)
+	if err := os.MkdirAll(blobs, 0o755); err != nil {
 		return nil, fmt.Errorf("resultcache: %w", err)
 	}
-	s := &Store{dir: dir, maxBytes: maxBytes, entries: map[string]*entry{}}
-	if err := s.loadIndex(); err != nil {
-		return nil, err
+	if err := checkSchema(dir); err != nil {
+		return nil, fmt.Errorf("resultcache: %w", err)
+	}
+	des, err := os.ReadDir(blobs)
+	if err != nil {
+		return nil, fmt.Errorf("resultcache: %w", err)
+	}
+	s := &Store{dir: dir, maxBytes: maxBytes, entries: make(map[string]*entry, len(des))}
+	for _, de := range des {
+		if !isBlobName(de.Name()) {
+			os.Remove(filepath.Join(blobs, de.Name()))
+			continue
+		}
+		s.entries[de.Name()] = &entry{size: -1}
+	}
+	if maxBytes > 0 {
+		s.statLocked()
 	}
 	return s, nil
 }
 
-// loadIndex reads the index, falling back to a blob-directory scan when
-// the index is missing or unreadable (the blobs are the ground truth; the
-// index only accelerates startup and remembers recency).
-func (s *Store) loadIndex() error {
-	data, err := os.ReadFile(filepath.Join(s.dir, indexFile))
-	if err == nil {
-		var idx index
-		if jsonErr := json.Unmarshal(data, &idx); jsonErr == nil {
-			if idx.Schema != SchemaVersion {
-				return s.invalidateAll()
-			}
-			s.clock = idx.Clock
-			for name, e := range idx.Entries {
-				if e != nil {
-					s.entries[name] = e
-					s.bytes += e.Size
-				}
-			}
-			s.refreshGauges()
-			return nil
-		}
-		// Corrupt index: rebuild from the blobs.
+// checkSchema keeps dir's blobs only if its schema marker names the
+// current SchemaVersion. Otherwise — a new directory, or one written by
+// another schema — it removes every blob and any legacy index, then
+// writes the marker, the only file Open writes.
+func checkSchema(dir string) error {
+	want := strconv.Itoa(SchemaVersion) + "\n"
+	if got, err := os.ReadFile(filepath.Join(dir, schemaFile)); err == nil && string(got) == want {
+		return nil
 	}
-	return s.scanBlobs()
+	blobs := filepath.Join(dir, blobDir)
+	if err := os.RemoveAll(blobs); err != nil {
+		return err
+	}
+	if err := os.Mkdir(blobs, 0o755); err != nil {
+		return err
+	}
+	os.Remove(filepath.Join(dir, "index.json")) // kept by earlier versions
+	return writeAtomic(dir, schemaFile, []byte(want))
 }
 
-// scanBlobs rebuilds the index from the blob directory: every valid blob
-// is adopted (recency unknown, so deterministic name order seeds the LRU
-// clock); invalid blobs are dropped.
-func (s *Store) scanBlobs() error {
-	names, err := os.ReadDir(filepath.Join(s.dir, blobDir))
-	if err != nil {
-		return fmt.Errorf("resultcache: %w", err)
-	}
-	sorted := make([]string, 0, len(names))
-	for _, de := range names {
-		if !de.IsDir() {
-			sorted = append(sorted, de.Name())
-		}
-	}
-	sort.Strings(sorted)
-	for _, name := range sorted {
-		payload, ok := s.readBlob(name)
-		if !ok {
+// statLocked stats every blob whose size is unknown, for its size and,
+// as recency, its modification time. A blob too short to hold a
+// header is removed as corrupt. Callers hold s.mu, or own s as Open does.
+func (s *Store) statLocked() {
+	for name, e := range s.entries {
+		if e.size >= 0 {
 			continue
 		}
-		s.clock++
-		s.entries[name] = &entry{Size: int64(len(payload)), LastUse: s.clock}
-		s.bytes += int64(len(payload))
+		info, err := os.Lstat(filepath.Join(s.dir, blobDir, name))
+		if err != nil || info.Size() < blobHeaderSize {
+			if err == nil {
+				s.stats.CorruptDropped++
+			}
+			s.dropLocked(name, e)
+			continue
+		}
+		e.size, e.lastUse = info.Size()-blobHeaderSize, uint64(info.ModTime().UnixNano())
+		s.bytes += e.size
+		s.clock = max(s.clock, e.lastUse)
 	}
-	s.refreshGauges()
-	return s.writeIndex()
 }
 
-// invalidateAll removes every blob — the schema changed, so every cached
-// result describes a simulator that no longer exists.
-func (s *Store) invalidateAll() error {
-	names, err := os.ReadDir(filepath.Join(s.dir, blobDir))
-	if err != nil {
-		return fmt.Errorf("resultcache: %w", err)
+// isBlobName reports whether name is a blob's name: 64 lowercase hex
+// digits, as blobName produces.
+func isBlobName(name string) bool {
+	if len(name) != 2*sha256.Size {
+		return false
 	}
-	for _, de := range names {
-		os.Remove(filepath.Join(s.dir, blobDir, de.Name()))
+	for i := 0; i < len(name); i++ {
+		if c := name[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
 	}
-	s.entries = map[string]*entry{}
-	s.bytes, s.clock = 0, 0
-	s.refreshGauges()
-	return s.writeIndex()
+	return true
 }
 
 // blobName maps an arbitrary cache key string to its content address:
@@ -169,52 +173,60 @@ func blobName(key string) string {
 }
 
 // Get returns the payload stored under key, or (nil, false) on a miss. A
-// blob that fails validation (truncated write that somehow bypassed the
-// atomic rename, bit rot, schema drift) is deleted and reported as a
-// miss.
+// blob that fails validation (bit rot, truncation, schema drift) is
+// deleted and reported as a miss. The blob is read and validated outside
+// the lock.
 func (s *Store) Get(key string) ([]byte, bool) {
 	name := blobName(key)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	e, ok := s.entries[name]
 	if !ok {
 		s.stats.Misses++
+		s.mu.Unlock()
 		return nil, false
 	}
-	payload, valid := s.readBlob(name)
-	if !valid {
-		s.dropLocked(name, e)
+	s.mu.Unlock()
+
+	payload, err := s.readBlob(name)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err != nil {
+		// A Put or an eviction since the lookup may have replaced or
+		// removed the blob; only the entry that was read is dropped.
+		if s.entries[name] == e {
+			if errors.Is(err, errCorrupt) {
+				s.stats.CorruptDropped++
+			}
+			s.dropLocked(name, e)
+		}
 		s.stats.Misses++
-		s.refreshGauges()
 		return nil, false
 	}
 	s.clock++
-	e.LastUse = s.clock
+	e.lastUse = s.clock
 	s.stats.Hits++
 	return payload, true
 }
 
 // Put stores payload under key, atomically, evicting LRU entries if the
-// size bound is exceeded. Errors are deliberately swallowed after
-// counting: a cache that cannot write degrades to a smaller cache, not a
-// failed experiment.
+// size bound is exceeded. The blob is written outside the lock. Errors
+// are deliberately swallowed: a cache that cannot write degrades to a
+// smaller cache, not a failed experiment.
 func (s *Store) Put(key string, payload []byte) {
 	name := blobName(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if err := s.writeBlob(name, payload); err != nil {
 		return
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if old, ok := s.entries[name]; ok {
-		s.bytes -= old.Size
+		s.bytes -= max(old.size, 0)
 	}
 	s.clock++
-	s.entries[name] = &entry{Size: int64(len(payload)), LastUse: s.clock}
+	s.entries[name] = &entry{size: int64(len(payload)), lastUse: s.clock}
 	s.bytes += int64(len(payload))
 	s.stats.Puts++
 	s.evictLocked(name)
-	s.refreshGauges()
-	s.writeIndex()
 }
 
 // evictLocked removes least-recently-used entries until the store fits
@@ -231,8 +243,9 @@ func (s *Store) evictLocked(keep string) {
 			if name == keep {
 				continue
 			}
-			if oldest == "" || e.LastUse < oldestUse {
-				oldest, oldestUse = name, e.LastUse
+			// Ties arise only among mtimes; names break them.
+			if oldest == "" || e.lastUse < oldestUse || (e.lastUse == oldestUse && name < oldest) {
+				oldest, oldestUse = name, e.lastUse
 			}
 		}
 		if oldest == "" {
@@ -246,40 +259,25 @@ func (s *Store) evictLocked(keep string) {
 func (s *Store) dropLocked(name string, e *entry) {
 	os.Remove(filepath.Join(s.dir, blobDir, name))
 	delete(s.entries, name)
-	s.bytes -= e.Size
+	s.bytes -= max(e.size, 0)
 }
 
-// Stats returns a snapshot of the counters.
+// Stats returns a snapshot of the counters, after statting the blobs
+// whose sizes are not yet known.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stats
+	s.statLocked()
+	st := s.stats
+	st.Entries, st.Bytes = len(s.entries), s.bytes
+	return st
 }
 
-func (s *Store) refreshGauges() {
-	s.stats.Entries = len(s.entries)
-	s.stats.Bytes = s.bytes
-}
+// Close has nothing to flush: every write is complete when Put returns.
+// The store must not be used after Close.
+func (s *Store) Close() error { return nil }
 
-// Close flushes the index (recency updates from Gets are only persisted
-// here and on Puts). The store must not be used after Close.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.writeIndex()
-}
-
-// writeIndex atomically persists the index. Callers hold s.mu.
-func (s *Store) writeIndex() error {
-	idx := index{Schema: SchemaVersion, Clock: s.clock, Entries: s.entries}
-	data, err := json.Marshal(idx)
-	if err != nil {
-		return fmt.Errorf("resultcache: %w", err)
-	}
-	return atomicWrite(filepath.Join(s.dir, indexFile), data)
-}
-
-// writeBlob atomically writes header+payload. Callers hold s.mu.
+// writeBlob atomically writes header+payload.
 func (s *Store) writeBlob(name string, payload []byte) error {
 	buf := make([]byte, blobHeaderSize+len(payload))
 	copy(buf, blobMagic)
@@ -288,55 +286,52 @@ func (s *Store) writeBlob(name string, payload []byte) error {
 	sum := sha256.Sum256(payload)
 	copy(buf[16:], sum[:])
 	copy(buf[blobHeaderSize:], payload)
-	return atomicWrite(filepath.Join(s.dir, blobDir, name), buf)
+	return writeAtomic(filepath.Join(s.dir, blobDir), name, buf)
 }
 
-// readBlob reads and validates one blob, returning (payload, ok).
-// Callers hold s.mu (validation failures bump CorruptDropped and remove
-// the file).
-func (s *Store) readBlob(name string) ([]byte, bool) {
-	path := filepath.Join(s.dir, blobDir, name)
-	buf, err := os.ReadFile(path)
+// errCorrupt is readBlob's error for a blob that fails validation.
+var errCorrupt = errors.New("resultcache: corrupt blob")
+
+// readBlob reads and validates one blob.
+func (s *Store) readBlob(name string) ([]byte, error) {
+	buf, err := os.ReadFile(filepath.Join(s.dir, blobDir, name))
 	if err != nil {
-		return nil, false
+		return nil, err
 	}
-	if len(buf) < blobHeaderSize || string(buf[:4]) != blobMagic {
-		s.corruptLocked(path)
-		return nil, false
+	if len(buf) < blobHeaderSize || string(buf[:4]) != blobMagic ||
+		binary.LittleEndian.Uint32(buf[4:]) != SchemaVersion {
+		return nil, errCorrupt
 	}
-	if binary.LittleEndian.Uint32(buf[4:]) != SchemaVersion {
-		s.corruptLocked(path)
-		return nil, false
-	}
-	n := binary.LittleEndian.Uint64(buf[8:])
 	payload := buf[blobHeaderSize:]
-	if uint64(len(payload)) != n {
-		s.corruptLocked(path)
-		return nil, false
+	if uint64(len(payload)) != binary.LittleEndian.Uint64(buf[8:]) {
+		return nil, errCorrupt
 	}
-	sum := sha256.Sum256(payload)
-	if string(sum[:]) != string(buf[16:16+sha256.Size]) {
-		s.corruptLocked(path)
-		return nil, false
+	if sum := sha256.Sum256(payload); string(sum[:]) != string(buf[16:blobHeaderSize]) {
+		return nil, errCorrupt
 	}
-	return payload, true
+	return payload, nil
 }
 
-func (s *Store) corruptLocked(path string) {
-	s.stats.CorruptDropped++
-	os.Remove(path)
-}
-
-// atomicWrite writes data to path via a temp file + rename, so readers
-// never observe a partial file.
-func atomicWrite(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+// writeAtomic writes data to dir/name through a temp file of its own in
+// dir and a rename, so readers never observe a partial file and
+// concurrent writers of one name never share a temp file. The temp name
+// is never a blob name, so Open removes it if a crash leaves it behind.
+func writeAtomic(dir, name string, data []byte) error {
+	f, err := os.CreateTemp(dir, name+".tmp*")
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
+	if err = f.Chmod(0o644); err == nil {
+		_, err = f.Write(data)
 	}
-	return nil
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), filepath.Join(dir, name))
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
+	"time"
 )
 
 func openT(t *testing.T, dir string, maxBytes int64) *Store {
@@ -49,24 +51,6 @@ func TestStoreRoundTrip(t *testing.T) {
 	got, ok = s2.Get("k1")
 	if !ok || string(got) != "payload-2" {
 		t.Fatalf("after reopen Get = %q, %v", got, ok)
-	}
-}
-
-func TestStoreSurvivesMissingIndex(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, dir, 0)
-	s.Put("a", []byte("A"))
-	s.Put("b", []byte("B"))
-	s.Close()
-	if err := os.Remove(filepath.Join(dir, indexFile)); err != nil {
-		t.Fatal(err)
-	}
-	s2 := openT(t, dir, 0)
-	for key, want := range map[string]string{"a": "A", "b": "B"} {
-		got, ok := s2.Get(key)
-		if !ok || string(got) != want {
-			t.Fatalf("after index loss Get(%q) = %q, %v", key, got, ok)
-		}
 	}
 }
 
@@ -135,18 +119,18 @@ func TestStoreSchemaInvalidation(t *testing.T) {
 	s := openT(t, dir, 0)
 	s.Put("k", []byte("old-schema"))
 	s.Close()
-	// Rewrite the index claiming an older schema.
-	idx, err := os.ReadFile(filepath.Join(dir, indexFile))
+	// Rewrite the marker claiming an older schema.
+	marker := filepath.Join(dir, schemaFile)
+	old, err := os.ReadFile(marker)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mutated := bytes.Replace(idx,
-		[]byte(fmt.Sprintf(`"schema":%d`, SchemaVersion)),
-		[]byte(`"schema":0`), 1)
-	if bytes.Equal(mutated, idx) {
-		t.Fatal("test could not mutate the schema field")
+	mutated := bytes.Replace(old,
+		[]byte(fmt.Sprintf("%d", SchemaVersion)), []byte("0"), 1)
+	if bytes.Equal(mutated, old) {
+		t.Fatal("test could not mutate the schema marker")
 	}
-	if err := os.WriteFile(filepath.Join(dir, indexFile), mutated, 0o644); err != nil {
+	if err := os.WriteFile(marker, mutated, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s2 := openT(t, dir, 0)
@@ -219,5 +203,181 @@ func TestStoreConcurrent(t *testing.T) {
 	s2 := openT(t, dir, 0)
 	if s2.Stats().Entries != 10 {
 		t.Fatalf("Entries = %d, want 10", s2.Stats().Entries)
+	}
+}
+
+// blobSizes returns the payload bytes the blob files on disk hold.
+func blobSizes(t *testing.T, dir string) (n int, total int64) {
+	t.Helper()
+	for _, p := range blobPaths(t, dir) {
+		info, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n++
+		total += info.Size() - blobHeaderSize
+	}
+	return n, total
+}
+
+func TestStoreReopenSizesFromBlobs(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, 0)
+	for i := 0; i < 6; i++ {
+		s.Put(fmt.Sprintf("k%d", i), bytes.Repeat([]byte{'x'}, 10*i+1))
+	}
+	s.Put("k2", []byte("overwritten"))
+	before := s.Stats()
+	s.Close()
+
+	// An unbounded store stats its blobs when Stats first needs their
+	// sizes, a Get before it or not, and counts each once.
+	s2 := openT(t, dir, 0)
+	if got, ok := s2.Get("k2"); !ok || string(got) != "overwritten" {
+		t.Fatalf("after reopen Get(k2) = %q, %v", got, ok)
+	}
+	n, total := blobSizes(t, dir)
+	for i := 0; i < 2; i++ {
+		st := s2.Stats()
+		if st.Entries != n || st.Bytes != total {
+			t.Fatalf("after reopen Entries=%d Bytes=%d, blobs hold %d and %d", st.Entries, st.Bytes, n, total)
+		}
+		if st.Entries != before.Entries || st.Bytes != before.Bytes {
+			t.Fatalf("after reopen Entries=%d Bytes=%d, before close %d and %d",
+				st.Entries, st.Bytes, before.Entries, before.Bytes)
+		}
+		s2.Get("k3")
+	}
+	// A bounded store stats its blobs at Open.
+	if st := openT(t, dir, 1<<20).Stats(); st.Entries != n || st.Bytes != total {
+		t.Fatalf("bounded reopen Entries=%d Bytes=%d, blobs hold %d and %d", st.Entries, st.Bytes, n, total)
+	}
+}
+
+func TestStoreOpenRemovesStrays(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, 0)
+	s.Put("k", []byte("kept"))
+	s.Close()
+	blobs := filepath.Join(dir, blobDir)
+	stray := filepath.Join(blobs, blobName("crashed")+".tmp123456")
+	short := filepath.Join(blobs, blobName("short"))
+	if err := os.WriteFile(stray, make([]byte, 200), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(short, make([]byte, 10), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := openT(t, dir, 0)
+	st := s2.Stats()
+	if st.Entries != 1 || st.Bytes != int64(len("kept")) {
+		t.Fatalf("Entries=%d Bytes=%d, want 1 and %d", st.Entries, st.Bytes, len("kept"))
+	}
+	if st.CorruptDropped != 1 {
+		t.Fatalf("CorruptDropped = %d, want 1 (the short file)", st.CorruptDropped)
+	}
+	for _, p := range []string{stray, short} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("%s survived Open (err %v)", filepath.Base(p), err)
+		}
+	}
+	if got, ok := s2.Get("k"); !ok || string(got) != "kept" {
+		t.Fatalf("Get = %q, %v", got, ok)
+	}
+}
+
+func TestStoreOpenAdoptsCorruptBlobLazily(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, 0)
+	s.Put("k", []byte("precious"))
+	s.Close()
+	paths := blobPaths(t, dir)
+	raw, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] ^= 0x40
+	if err := os.WriteFile(paths[0], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := openT(t, dir, 0)
+	if st := s2.Stats(); st.Entries != 1 || st.CorruptDropped != 0 {
+		t.Fatalf("at Open Entries=%d CorruptDropped=%d, want the blob adopted unchecked", st.Entries, st.CorruptDropped)
+	}
+	if got, ok := s2.Get("k"); ok {
+		t.Fatalf("corrupted blob served as a hit: %q", got)
+	}
+	st := s2.Stats()
+	if st.CorruptDropped != 1 || st.Entries != 0 || st.Bytes != 0 || st.Misses != 1 {
+		t.Fatalf("after Get stats = %+v, want 1 corrupt drop, 1 miss, empty store", st)
+	}
+	if remaining := blobPaths(t, dir); len(remaining) != 0 {
+		t.Fatalf("corrupt blob not removed: %v", remaining)
+	}
+}
+
+func TestStoreReopenEvictsInWriteOrder(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, 0)
+	keys := []string{"a", "b", "c", "d"}
+	for _, k := range keys {
+		s.Put(k, []byte("8 bytes!"))
+	}
+	s.Close()
+	// Kernel file timestamps are coarse, so back-to-back writes can tie:
+	// give each blob its own mtime. Write order runs against name order,
+	// so an Open that ignored mtimes would evict in the wrong order.
+	byName := append([]string(nil), keys...)
+	sort.Slice(byName, func(i, j int) bool { return blobName(byName[i]) > blobName(byName[j]) })
+	for i, k := range byName {
+		at := time.Unix(int64(1000+i), 0)
+		if err := os.Chtimes(filepath.Join(dir, blobDir, blobName(k)), at, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Room for four entries: every further Put evicts the oldest write.
+	s2 := openT(t, dir, 32)
+	for i, oldest := range byName[:3] {
+		s2.Put(fmt.Sprintf("new%d", i), []byte("8 bytes!"))
+		if _, err := os.Stat(filepath.Join(dir, blobDir, blobName(oldest))); !os.IsNotExist(err) {
+			t.Fatalf("Put %d did not evict %q, the oldest write (err %v)", i, oldest, err)
+		}
+		for _, younger := range byName[i+1:] {
+			if _, err := os.Stat(filepath.Join(dir, blobDir, blobName(younger))); err != nil {
+				t.Fatalf("Put %d evicted %q before older writes: %v", i, younger, err)
+			}
+		}
+	}
+	if ev := s2.Stats().Evictions; ev != 3 {
+		t.Fatalf("Evictions = %d, want 3", ev)
+	}
+}
+
+func TestStoreReopenBreaksMtimeTiesByName(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, 0)
+	keys := []string{"a", "b", "c"}
+	for _, k := range keys {
+		s.Put(k, []byte("8 bytes!"))
+	}
+	s.Close()
+	at := time.Unix(1000, 0)
+	for _, k := range keys {
+		if err := os.Chtimes(filepath.Join(dir, blobDir, blobName(k)), at, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool { return blobName(keys[i]) < blobName(keys[j]) })
+
+	s2 := openT(t, dir, 24)
+	s2.Put("d", []byte("8 bytes!"))
+	for i, k := range keys {
+		_, err := os.Stat(filepath.Join(dir, blobDir, blobName(k)))
+		if evicted := os.IsNotExist(err); evicted != (i == 0) {
+			t.Fatalf("%q (name rank %d) evicted = %v; equal mtimes must evict the first name", k, i, evicted)
+		}
 	}
 }

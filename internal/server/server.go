@@ -20,6 +20,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -224,6 +225,10 @@ type WhatIfResponse struct {
 	MakespanDelta float64 `json:"makespan_delta"`
 }
 
+// maxWhatIfBody bounds a POST /whatif body. A WhatIfRequest encodes in
+// well under a kilobyte; a body past the bound answers 413 undecoded.
+const maxWhatIfBody = 1 << 20
+
 // handleWhatIf answers a single-trial perturbation query.
 func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -231,7 +236,11 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req WhatIfRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxWhatIfBody)).Decode(&req); err != nil {
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		writeErr(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}

@@ -222,3 +222,19 @@ func TestRunEndpointWarm(t *testing.T) {
 		t.Fatalf("warm run: %d/%d trials from cache", warm.CacheHits, warm.Trials)
 	}
 }
+
+// TestWhatIfBodyLimit posts a body past maxWhatIfBody: the handler must
+// stop reading and answer 413, not decode it.
+func TestWhatIfBodyLimit(t *testing.T) {
+	srv := New(runner.New(1), nil)
+	body := `{"cell": {"Dataset": {"Name": "` + strings.Repeat("x", maxWhatIfBody) + `"}}}`
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/whatif", strings.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("code = %d, want 413: %s", rec.Code, rec.Body)
+	}
+	var resp struct{ Error string }
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || !strings.Contains(resp.Error, "exceeds") {
+		t.Fatalf("error body = %q (%v), want the size complaint", rec.Body, err)
+	}
+}
